@@ -1,18 +1,26 @@
-"""Raw simulator speed — sim-events/s the host chews through.
+"""Raw simulator speed — host time per directory operation.
 
 Every scale-out item on the roadmap (namespace sharding, pipelined
-dissemination, 5k-client reads) multiplies simulated event counts;
-this benchmark is the committed record of how fast the event loop is
-and the CI gate that keeps it that way. Running the file as a script
-regenerates ``BENCH_sim.json`` and can gate on a committed baseline:
+dissemination, 5k-client reads) multiplies simulated work; this
+benchmark is the committed record of how much host time the simulator
+spends per completed directory operation, and the CI gate that keeps
+it there. Running the file as a script regenerates ``BENCH_sim.json``
+and can gate on a committed baseline:
 
     PYTHONPATH=src python benchmarks/bench_sim.py \
         --out BENCH_sim.json --check-against BENCH_sim.json
 
-Absolute sim-events/s depends on the host, so the gate compares
-*normalized* throughput: events/s divided by a pure-Python calibration
-loop measured in the same process. The ratio cancels host speed; a
->10% drop in it is a real event-loop regression, not a slower runner.
+Absolute host time depends on the host, so the gate compares
+*calibrated* host time per completed op: host seconds per op times the
+rate of a pure-Python calibration loop timed in the same process right
+after each run (the number of calibration iterations one op costs). The
+product cancels host speed; a >10% rise in it is a real simulator
+regression, not a slower runner.
+
+The gate is per operation, not per event: a change that schedules
+fewer events for the same operations (batched delivery, say) lowers
+sim-events/s while making every operation cheaper, so events/s is kept
+only as an informational field.
 
 Scenarios come from :mod:`repro.bench.simbench` (the same ones
 ``python -m repro perf`` profiles); the timed runs here attach **no**
@@ -82,7 +90,9 @@ def _calibration_loops_per_s(n: int = 400_000, rounds: int = 3) -> float:
 def measure_cell(
     scale: str, obs_on: bool, seed: int = 0, repeats: int = 2
 ) -> dict:
-    """Best-of-N wallclock for one (scale, obs) cell, profiler off."""
+    """Best-of-N calibrated host time per op for one (scale, obs) cell,
+    profiler off. Each repeat is scaled by a calibration loop timed right
+    after it, so the host's speed at that moment cancels out."""
     best = None
     for _ in range(max(1, repeats)):
         run = run_perf_scenario(
@@ -93,14 +103,18 @@ def measure_cell(
             monitor=obs_on,
             profile=False,
         )
-        if best is None or run.wall_ns < best.wall_ns:
-            best = run
+        per_op = run.wall_ns / 1e9 / max(run.ops, 1) * _calibration_loops_per_s()
+        if best is None or per_op < best[0]:
+            best = (per_op, run)
+    per_op, run = best
     return {
-        "events_per_s": round(best.events_per_s, 1),
-        "scheduled_events": best.scheduled_events,
-        "ops": best.ops,
-        "sim_ms": round(best.sim_ms, 1),
-        "wall_ms": round(best.wall_ns / 1e6, 1),
+        "calibrated_per_op": round(per_op, 1),
+        "host_us_per_op": round(run.wall_ns / 1e3 / max(run.ops, 1), 1),
+        "events_per_s": round(run.events_per_s, 1),
+        "scheduled_events": run.scheduled_events,
+        "ops": run.ops,
+        "sim_ms": round(run.sim_ms, 1),
+        "wall_ms": round(run.wall_ns / 1e6, 1),
     }
 
 
@@ -141,21 +155,16 @@ def test_sim_speed_sane(benchmark, results_dir):
 def test_sim_speed_matches_committed_baseline():
     """The committed BENCH_sim.json must describe THIS code.
 
-    Normalized comparison with a wide (35%) margin: the strict 10%
-    gate runs in CI where the calibration happens on the same runner.
+    Calibrated comparison with a wide (35%) margin: the strict 10% gate
+    runs in CI where the calibration happens on the same runner.
     """
     baseline_path = pathlib.Path(__file__).parent.parent / "BENCH_sim.json"
     baseline = json.loads(baseline_path.read_text())
-    cal = _calibration_loops_per_s()
-    cell = measure_cell("small", obs_on=False, repeats=2)
-    old = (
-        baseline["scales"]["small"]["obs_off"]["events_per_s"]
-        / baseline["calibration_loops_per_s"]
-    )
-    new = cell["events_per_s"] / cal
-    assert new >= old * 0.65, (
-        f"normalized sim-events/s {new:.4f} regressed >35% against "
-        f"committed {old:.4f}"
+    old = baseline["scales"]["small"]["obs_off"]["calibrated_per_op"]
+    new = measure_cell("small", obs_on=False, repeats=2)["calibrated_per_op"]
+    assert new <= old * 1.35, (
+        f"calibrated host time per op {new:.0f} regressed >35% against "
+        f"committed {old:.0f}"
     )
 
 
@@ -168,18 +177,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_sim.json")
     parser.add_argument(
         "--quick", action="store_true",
-        help="small+medium scales only, 1 repeat (CI smoke)",
+        help="small+medium scales only (CI smoke)",
     )
     parser.add_argument(
         "--check-against", default=None,
-        help="baseline JSON to gate normalized sim-events/s against",
+        help="baseline JSON to gate calibrated host time per op against",
     )
     parser.add_argument("--max-regression", type=float, default=0.10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     scales = ("small", "medium") if args.quick else ("small", "medium", "large")
-    repeats = 1 if args.quick else 2
+    repeats = 3
     calibration = _calibration_loops_per_s()
     cells = run_matrix(scales, seed=args.seed, repeats=repeats)
 
@@ -204,19 +213,16 @@ def main(argv=None) -> int:
     status = 0
     if args.check_against:
         baseline = json.loads(pathlib.Path(args.check_against).read_text())
-        old_cal = baseline["calibration_loops_per_s"]
-        floor = 1.0 - args.max_regression
+        ceiling = 1.0 + args.max_regression
         for scale in scales:
             if scale not in baseline.get("scales", {}):
                 continue
-            old = (
-                baseline["scales"][scale]["obs_off"]["events_per_s"] / old_cal
-            )
-            new = cells[scale]["obs_off"]["events_per_s"] / calibration
-            verdict = "ok" if new >= old * floor else "REGRESSED"
+            old = baseline["scales"][scale]["obs_off"]["calibrated_per_op"]
+            new = cells[scale]["obs_off"]["calibrated_per_op"]
+            verdict = "ok" if new <= old * ceiling else "REGRESSED"
             print(
-                f"{scale}: normalized events/s {new:.4f} "
-                f"(baseline {old:.4f}, floor {old * floor:.4f}) {verdict}"
+                f"{scale}: calibrated host time per op {new:,.0f} "
+                f"(baseline {old:,.0f}, ceiling {old * ceiling:,.0f}) {verdict}"
             )
             if verdict != "ok":
                 status = 1

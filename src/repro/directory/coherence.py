@@ -155,7 +155,7 @@ class CoherenceManager:
         return self.server.state.update_seqno
 
     # ------------------------------------------------------------------
-    # frame handlers (sync callbacks on the transport pump)
+    # frame handlers (sync callbacks from the transport's dispatch)
     # ------------------------------------------------------------------
 
     def _on_invack(self, packet) -> None:

@@ -3,8 +3,17 @@
 Every simulated machine attaches one :class:`Nic`. Sending costs
 simulated time per the :class:`~repro.sim.latency.NetworkLatency`
 model; a multicast is *one* frame on the wire (as with Ethernet
-hardware multicast, which Amoeba's FLIP exploits) delivered to every
-reachable NIC.
+hardware multicast, which Amoeba's FLIP exploits) offered to every
+other NIC, and the receiving machine's transport decides whether it
+listens for the frame's kind.
+
+Delivery costs one event per frame and arrival instant, not one per
+receiver: :meth:`Network.transmit` works out each receiver's arrival
+(link policies, per-pair FIFO) and posts one event per distinct
+instant, which hands the packet to its receivers in the order the
+per-receiver events would have run. A NIC passes each packet to
+its receiver callback (a :class:`~repro.rpc.transport.Transport`), or
+queues it on :attr:`Nic.inbox` when nothing claimed the NIC.
 
 Failure model, mirroring the paper's assumptions:
 
@@ -25,9 +34,11 @@ forms while a frame is in flight drops the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable
+from functools import partial
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.errors import NetworkError
+from repro.net.partition import PartitionController
 from repro.net.policy import LinkContext, LinkDecision, LinkPolicy
 from repro.sim.latency import LatencyModel
 from repro.sim.primitives import Channel
@@ -39,8 +50,7 @@ Address = Hashable
 BROADCAST = "<broadcast>"
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     """One frame as seen by a receiving NIC."""
 
     src: Address
@@ -102,7 +112,7 @@ class Network:
         self.latency = latency or LatencyModel.paper_testbed()
         self.loss_probability = loss_probability
         self.link_policies: list[LinkPolicy] = list(link_policies or [])
-        self.partitions = PartitionControllerProxy()
+        self.partitions = PartitionController()
         self.stats = NetworkStats()
         # Segment-wide registry counters under the pseudo-node "net"
         # (NetworkStats stays the compact per-network API; the registry
@@ -123,14 +133,9 @@ class Network:
         # senders contend for the cable (docs/OBSERVABILITY.md §10).
         self._c_wire = registry.counter("net", "net.wire_ms")
         self._registry = registry
-        # Per-directed-link counters, created lazily on first delivery
-        # under the pseudo-node "link(src->dst)".
-        self._link_meters: dict[tuple, tuple] = {}
+        # src -> dst -> _Link, created on a pair's first delivery.
+        self._links: dict[Address, dict[Address, _Link]] = {}
         self._nics: dict[Address, "Nic"] = {}
-        # Per (src, dst) pair: last scheduled arrival time. A single
-        # Ethernet segment serializes frames, so delivery between a
-        # given pair is FIFO even with per-packet jitter.
-        self._last_arrival: dict[tuple[Address, Address], float] = {}
 
     # -- topology --------------------------------------------------------
 
@@ -225,91 +230,119 @@ class Network:
             return
         wire_ms = self.latency.network.transmit_time(size)
         self._c_wire.inc(wire_ms)
-        delay = wire_ms + self._jitter()
+        now = self.sim.now
+        base = now + (wire_ms + self._jitter())
         if dst == BROADCAST:
             receivers: Iterable[Address] = [a for a in self._nics if a != src]
             multicast = True
         else:
-            receivers = [dst]
+            receivers = (dst,)
             multicast = False
+        links = self._links.get(src)
+        if links is None:
+            links = self._links[src] = {}
+        # Event time -> receivers arriving then, in scheduling order.
+        # One event per instant keeps the order of per-receiver events:
+        # all receivers of one instant would have had consecutive
+        # places among that instant's events.
+        arrivals: dict[float, list[Address]] = {}
+        batch_when = batch = None
         for receiver in receivers:
+            arrival = base
+            decision = None
             if self.link_policies:
                 decision = self._intercept(src, receiver, kind, size, multicast)
-            else:
-                decision = None
-            if decision is not None and decision.drop:
-                self.stats.frames_dropped += 1
-                self._c_dropped.inc()
-                self._c_policy_drops.inc()
-                name = decision.dropped_by or "?"
-                self.stats.policy_drops[name] = (
-                    self.stats.policy_drops.get(name, 0) + 1
-                )
-                if tracer.enabled:
-                    tracer.emit(
-                        str(src), "net", "net.drop",
-                        dst=str(receiver), kind=kind, reason=name,
-                    )
-                continue
-            arrival = self.sim.now + delay
-            copies = 1
-            if decision is not None:
+                if decision.drop:
+                    self._policy_drop(src, receiver, kind, decision)
+                    continue
                 if decision.extra_delay_ms > 0.0:
                     arrival += decision.extra_delay_ms
                     self.stats.frames_delayed += 1
                     self._c_delayed.inc()
-                copies += decision.duplicates
                 self.stats.frames_duplicated += decision.duplicates
                 if decision.duplicates:
                     self._c_duplicated.inc(decision.duplicates)
-            packet = Packet(src, receiver, kind, payload, size, multicast)
-            pair = (src, receiver)
-            link = self._link_meters.get(pair)
+            link = links.get(receiver)
             if link is None:
-                link_node = f"link({src}->{receiver})"
-                link = (
-                    self._registry.counter(link_node, "net.bytes"),
-                    self._registry.counter(link_node, "net.busy_ms"),
-                )
-                self._link_meters[pair] = link
-            link[0].inc(size)
-            link[1].inc(wire_ms)
-            previous = self._last_arrival.get(pair, 0.0)
+                link = links[receiver] = _Link(self._registry, src, receiver)
+            link.bytes.inc(size)
+            link.busy.inc(wire_ms)
             if decision is not None and decision.allow_reorder:
                 # Exempt from per-pair FIFO: this delivery may be
                 # overtaken by later frames (bounded by the policy's
                 # delay ceiling). Do not advance the FIFO horizon.
-                if arrival < previous:
+                if arrival < link.horizon:
                     self.stats.frames_reordered += 1
                     self._c_reordered.inc()
             else:
-                if arrival < previous:
-                    arrival = previous  # keep per-pair delivery FIFO
-                self._last_arrival[pair] = arrival
-            for _ in range(copies):
-                self.sim.schedule(
-                    arrival - self.sim.now, lambda p=packet: self._deliver(p)
-                )
+                if arrival < link.horizon:
+                    arrival = link.horizon  # keep per-pair delivery FIFO
+                link.horizon = arrival
+            # The event time is now + (arrival - now), which need not
+            # equal arrival in floating point.
+            when = now + (arrival - now)
+            if when != batch_when:
+                batch_when = when
+                batch = arrivals.get(when)
+                if batch is None:
+                    batch = arrivals[when] = []
+            batch.append(receiver)
+            if decision is not None and decision.duplicates:
+                batch.extend([receiver] * decision.duplicates)
+        post = self.sim._post_at
+        for when, batch in arrivals.items():
+            post(when, partial(self._arrive, src, kind, payload, size, multicast, batch))
 
-    def _deliver(self, packet: Packet) -> None:
+    def _arrive(
+        self,
+        src: Address,
+        kind: str,
+        payload: Any,
+        size: int,
+        multicast: bool,
+        receivers: list[Address],
+    ) -> None:
+        """One frame's event at one arrival instant: hand the packet to
+        each receiver that is reachable now, in order."""
         tracer = self._obs.tracer
-        if not self.reachable(packet.src, packet.dst):
-            self.stats.frames_dropped += 1
-            self._c_dropped.inc()
+        for receiver in receivers:
+            packet = Packet(src, receiver, kind, payload, size, multicast)
+            if not self.reachable(src, receiver):
+                self._drop_unreachable(packet)
+                continue
             if tracer.enabled:
                 tracer.emit(
-                    str(packet.src), "net", "net.drop",
-                    dst=str(packet.dst), kind=packet.kind,
-                    reason="unreachable",
+                    str(receiver), "net", "net.deliver",
+                    src=str(src), kind=kind,
                 )
-            self._maybe_refuse(packet)
-            return
+            self._nics[receiver].accept(packet)
+
+    def _policy_drop(
+        self, src: Address, receiver: Address, kind: str, decision: LinkDecision
+    ) -> None:
+        self.stats.frames_dropped += 1
+        self._c_dropped.inc()
+        self._c_policy_drops.inc()
+        name = decision.dropped_by or "?"
+        self.stats.policy_drops[name] = self.stats.policy_drops.get(name, 0) + 1
+        tracer = self._obs.tracer
         if tracer.enabled:
             tracer.emit(
-                str(packet.dst), "net", "net.deliver",
-                src=str(packet.src), kind=packet.kind,
+                str(src), "net", "net.drop",
+                dst=str(receiver), kind=kind, reason=name,
             )
-        self._nics[packet.dst].inbox.send(packet)
+
+    def _drop_unreachable(self, packet: Packet) -> None:
+        self.stats.frames_dropped += 1
+        self._c_dropped.inc()
+        tracer = self._obs.tracer
+        if tracer.enabled:
+            tracer.emit(
+                str(packet.src), "net", "net.drop",
+                dst=str(packet.dst), kind=packet.kind,
+                reason="unreachable",
+            )
+        self._maybe_refuse(packet)
 
     def _maybe_refuse(self, packet: Packet) -> None:
         """Connection refused: an RPC request whose destination NIC is
@@ -336,23 +369,22 @@ class Network:
             packet.dst, packet.src, "rpc.unreach", {"txid": payload["txid"]}, 64
         )
         delay = self.latency.network.transmit_time(64)
-
-        def deliver_refusal() -> None:
-            # The refusal's nominal src is the dead machine, so the
-            # reachable() check would drop it; deliver directly,
-            # requiring only a live receiver and no new partition.
-            nic = self._nics.get(refusal.dst)
-            if (
-                nic is not None
-                and nic.up
-                and self.partitions.connected(refusal.src, refusal.dst)
-            ):
-                nic.inbox.send(refusal)
-
         self.stats.record("rpc.unreach", 64)
         self._c_frames.inc()
         self._c_bytes.inc(64)
-        self.sim.schedule(delay, deliver_refusal)
+        self.sim._post_in(delay, partial(self._deliver_refusal, refusal))
+
+    def _deliver_refusal(self, refusal: Packet) -> None:
+        # The refusal's nominal src is the dead machine, so the
+        # reachable() check would drop it; deliver directly, requiring
+        # only a live receiver and no new partition.
+        nic = self._nics.get(refusal.dst)
+        if (
+            nic is not None
+            and nic.up
+            and self.partitions.connected(refusal.src, refusal.dst)
+        ):
+            nic.accept(refusal)
 
     def _lost(self) -> bool:
         if self.loss_probability <= 0.0:
@@ -366,24 +398,29 @@ class Network:
         return self.sim.rng.uniform("net.jitter", 0.0, bound)
 
 
-class PartitionControllerProxy:
-    """Thin alias so ``network.partitions.split(...)`` reads naturally."""
+class _Link:
+    """One directed (src, dst) pair: its registry meters under the
+    pseudo-node ``link(src->dst)`` and its FIFO horizon, the last
+    arrival scheduled on it. A single Ethernet segment serializes
+    frames, so delivery between a given pair is FIFO even with
+    per-packet jitter."""
 
-    def __init__(self):
-        from repro.net.partition import PartitionController
+    __slots__ = ("bytes", "busy", "horizon")
 
-        self._controller = PartitionController()
-
-    def __getattr__(self, item):
-        return getattr(self._controller, item)
+    def __init__(self, registry, src: Address, dst: Address):
+        node = f"link({src}->{dst})"
+        self.bytes = registry.counter(node, "net.bytes")
+        self.busy = registry.counter(node, "net.busy_ms")
+        self.horizon = 0.0
 
 
 class Nic:
     """One machine's network interface.
 
-    Frames arrive on :attr:`inbox` (a :class:`Channel` of
-    :class:`Packet`); protocol layers either drain it themselves or
-    spawn a demultiplexer process (see :mod:`repro.rpc.transport`).
+    A delivered frame goes to :attr:`receiver` when a protocol stack
+    claimed the NIC (a :class:`~repro.rpc.transport.Transport` does),
+    and otherwise waits on :attr:`inbox` (a :class:`Channel` of
+    :class:`Packet`) for whoever drains it.
     """
 
     def __init__(self, network: Network, address: Address):
@@ -391,6 +428,16 @@ class Nic:
         self.address = address
         self.up = True
         self.inbox = Channel(f"nic({address}).inbox")
+        #: Called with each delivered packet instead of queueing it on
+        #: the inbox; None leaves packets on the inbox.
+        self.receiver: Callable[[Packet], None] | None = None
+
+    def accept(self, packet: Packet) -> None:
+        """A frame arrived for this NIC (the network checked it is up)."""
+        if self.receiver is not None:
+            self.receiver(packet)
+        else:
+            self.inbox.send(packet)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -417,5 +464,6 @@ class Nic:
     # -- receiving ---------------------------------------------------------
 
     def recv(self):
-        """Future resolving with the next delivered :class:`Packet`."""
+        """Future resolving with the next :class:`Packet` on the inbox
+        (only NICs without a :attr:`receiver` queue packets there)."""
         return self.inbox.recv()

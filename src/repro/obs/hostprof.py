@@ -4,9 +4,9 @@ Everything else in :mod:`repro.obs` measures *simulated* time. This
 module answers the other question — where does **host** wallclock go
 per simulated event — which is what decides whether a million-entry
 scenario fits in CI. A :class:`HostProfiler` rides on one
-:class:`~repro.sim.scheduler.Simulator`; the scheduler's profiled run
-loops (see ``Simulator._run_profiled``) time each event dispatch with
-``perf_counter_ns`` and hand the callback over for attribution:
+:class:`~repro.sim.scheduler.Simulator`; the scheduler's event loop
+hands each event to :meth:`HostProfiler.dispatch`, which times it with
+``perf_counter_ns`` and attributes the callback:
 
 * **event kind** — ``process.step`` (a generator resumed), ``future.settle``
   (a sleep/timer future resolving), or ``callback`` (plain scheduled fn);
@@ -110,6 +110,7 @@ class HostProfiler:
         self.sim: Any = None
         self.active = False
         self._stride_pos = 0
+        self._mark = 0
         # Attribution, keyed by the executing code object (stable per
         # function, shared by all processes running the same generator).
         self._sites: dict[Any, SiteStats] = {}
@@ -145,7 +146,7 @@ class HostProfiler:
         return self
 
     def stop(self) -> "HostProfiler":
-        """Stop measuring (the simulator reverts to the fast loops)."""
+        """Stop measuring (the event loop goes back to plain calls)."""
         if self.active:
             self.active = False
             self._wall_ns += perf_counter_ns() - (self._wall_start or 0)
@@ -156,6 +157,32 @@ class HostProfiler:
         return self
 
     # -- scheduler callbacks (hot; called per event while active) ----------
+
+    def begin(self) -> None:
+        """A run of the event loop starts: scheduler time counts from here."""
+        self._mark = perf_counter_ns()
+
+    def dispatch(self, fn: Callable, heap_len: int) -> None:
+        """Run one event for the loop, timing every ``sample``-th one.
+
+        A timed event's scheduler time is the host time since the
+        previous event finished (heap pop, loop bookkeeping, cancelled
+        pops), so the loop itself needs no clock reads.
+        """
+        k = self._stride_pos + 1
+        if k >= self.sample:
+            self._stride_pos = 0
+            t1 = perf_counter_ns()
+            fn()
+            t2 = perf_counter_ns()
+            self.record_timed(fn, t1 - self._mark, t2 - t1, heap_len)
+            self._mark = perf_counter_ns()
+        else:
+            self._stride_pos = k
+            fn()
+            self.record_counted(fn)
+            if k + 1 >= self.sample:
+                self._mark = perf_counter_ns()
 
     def record_timed(
         self, fn: Callable, sched_ns: int, exec_ns: int, heap_len: int
@@ -184,9 +211,9 @@ class HostProfiler:
         self._site_of(fn).count += 1
         self._executed += 1
 
-    def note_cancelled_pop(self, sched_ns: int) -> None:
+    def note_cancelled_pop(self) -> None:
+        """A cancelled timer was popped (its cost lands in the next gap)."""
         self._cancelled_pops += 1
-        self._sched_ns += sched_ns
 
     def _site_of(self, fn: Callable) -> SiteStats:
         # A process wakeup is a bound method of the Process; attribute

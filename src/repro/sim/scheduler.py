@@ -11,18 +11,26 @@ randomness flows through :class:`repro.sim.randomness.RngStreams`, so a
 run is a pure function of the seed.
 
 Host profiling: when ``sim.hostprof`` holds an active
-:class:`repro.obs.hostprof.HostProfiler`, the run loops time each event
-dispatch on the *host* clock and hand the callback to the profiler for
-attribution. The profiled loops are separate methods so the default
-path pays nothing; profiling reads host time only and never touches
-simulated state, so a profiled run is event-for-event identical to an
-unprofiled one (pinned by tests/obs/test_hostprof.py).
+:class:`repro.obs.hostprof.HostProfiler`, the event loop hands each
+event to the profiler's ``dispatch`` hook, which times it on the *host*
+clock and attributes it; otherwise the loop calls the event directly
+and the hook costs one test of a local variable. Profiling reads host
+time only and never touches simulated state, so a profiled run is
+event-for-event identical to an unprofiled one (pinned by
+tests/obs/test_hostprof.py).
+
+Reserved places: :meth:`Simulator.reserve` takes a sequence number
+without scheduling anything. A component that would post an event
+whose only effect is to be a no-op at that place in the order can
+reserve it instead, and post it later with :meth:`Simulator._post_at`
+at the reserved number if something has to happen there after all;
+:attr:`Simulator.current_seq` tells whether the place is still ahead
+(see :mod:`repro.rpc.transport`).
 """
 
 from __future__ import annotations
 
 import heapq
-from time import perf_counter_ns
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
@@ -36,6 +44,9 @@ from repro.sim.randomness import RngStreams
 #: build their own clusters (and therefore their own simulators) are
 #: still profiled. Empty in normal operation.
 _new_sim_hooks: list[Callable[["Simulator"], None]] = []
+
+#: The "no time bound" of :meth:`Simulator._loop`.
+_FOREVER = float("inf")
 
 
 class Timer:
@@ -64,12 +75,16 @@ class Simulator:
         # per-event Timer allocation entirely.
         self._heap: list[tuple[float, int, Timer | None, Callable[[], None]]] = []
         self._sequence = 0
+        #: Sequence number of the event running now (or of the last one
+        #: run). After :meth:`run` returns it is past every number taken
+        #: so far, since every event up to the stop time has run.
+        self.current_seq = -1
         self._processes: list[Process] = []
         self.trace: list[tuple[float, str]] | None = None
         #: Metrics registry + causal trace recorder (see repro.obs).
         self.obs = Observability(self)
         #: Host-clock profiler (repro.obs.hostprof), attached explicitly
-        #: or via a _new_sim_hooks capture; None means the fast loops run.
+        #: or via a _new_sim_hooks capture; None means events run unprofiled.
         self.hostprof = None
         for hook in list(_new_sim_hooks):
             hook(self)
@@ -102,6 +117,29 @@ class Simulator:
         """Non-cancellable ``schedule`` (hot path; caller validates delay)."""
         heapq.heappush(self._heap, (self.now + delay, self._sequence, None, fn))
         self._sequence += 1
+
+    def _post_at(self, when: float, fn: Callable[[], None], seq: int | None = None) -> None:
+        """Non-cancellable event at absolute time *when* (>= now).
+
+        *seq* places it at a number taken earlier with :meth:`reserve`;
+        by default it takes the next one.
+        """
+        if seq is None:
+            seq = self._sequence
+            self._sequence = seq + 1
+        heapq.heappush(self._heap, (when, seq, None, fn))
+
+    def reserve(self) -> int:
+        """Take the next sequence number without scheduling an event.
+
+        The number marks a place in the order of the events at the
+        current instant: events scheduled earlier run before it, later
+        ones after. It has passed once the clock moved on or
+        :attr:`current_seq` went beyond it.
+        """
+        seq = self._sequence
+        self._sequence = seq + 1
+        return seq
 
     def sleep(self, delay: float) -> Future:
         """A future that resolves after *delay* simulated milliseconds."""
@@ -160,135 +198,71 @@ class Simulator:
 
         Returns the simulated time at which the run stopped.
         """
+        bound = _FOREVER if until is None else until
+        if self._loop(bound, None, max_events):
+            self.now = until  # stopped at the bound: every event <= until ran
+        elif until is not None and until > self.now:
+            self.now = until
+        # Every sequence number taken so far is now behind the clock.
+        self.current_seq = self._sequence
+        return self.now
+
+    def run_until_complete(self, process: Process, max_events: int = 50_000_000) -> Any:
+        """Run until *process* finishes; return its result (or raise)."""
+        self._loop(_FOREVER, lambda: process.resolved, max_events)
+        if not process.resolved:
+            raise SimulationError(
+                f"event queue drained but process {process.name!r} "
+                "never completed (deadlock)"
+            )
+        return process.value
+
+    def _loop(
+        self,
+        until: float,
+        stop: Callable[[], bool] | None,
+        max_events: int,
+    ) -> bool:
+        """The one event loop behind :meth:`run` and :meth:`run_until_complete`.
+
+        Runs events in (time, seq) order until the heap drains, *stop*
+        (checked before each event) returns true, or the next event lies
+        past *until*; returns True only in the last case. An active host
+        profiler dispatches each event instead of a plain call.
+        """
         prof = self.hostprof
-        if prof is not None and prof.active:
-            return self._run_profiled(until, max_events)
-        events = 0
+        if prof is not None:
+            if prof.active:
+                prof.begin()
+            else:
+                prof = None
         heap = self._heap
+        pop = heapq.heappop
+        events = 0
         while heap:
-            when, _, timer, fn = heap[0]
-            if until is not None and when > until:
-                self.now = until
-                return self.now
-            heapq.heappop(heap)
+            if stop is not None and stop():
+                return False
+            when, seq, timer, fn = heap[0]
+            if when > until:
+                return True
+            pop(heap)
             if timer is not None and timer.cancelled:
+                if prof is not None:
+                    prof.note_cancelled_pop()
                 continue
             self.now = when
-            fn()
+            self.current_seq = seq
+            if prof is None:
+                fn()
+            else:
+                prof.dispatch(fn, len(heap))
             events += 1
             if events > max_events:
                 raise SimulationError(
                     f"exceeded {max_events} events at t={self.now:.3f} ms; "
                     "likely a livelock in the simulated system"
                 )
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-    def _run_profiled(self, until: float | None, max_events: int) -> float:
-        """:meth:`run` with host-clock attribution (same sim semantics)."""
-        prof = self.hostprof
-        events = 0
-        heap = self._heap
-        stride = prof.sample
-        k = prof._stride_pos
-        try:
-            while heap:
-                when, _, timer, fn = heap[0]
-                if until is not None and when > until:
-                    self.now = until
-                    return self.now
-                t0 = perf_counter_ns()
-                heapq.heappop(heap)
-                if timer is not None and timer.cancelled:
-                    prof.note_cancelled_pop(perf_counter_ns() - t0)
-                    continue
-                self.now = when
-                k += 1
-                if k >= stride:
-                    k = 0
-                    t1 = perf_counter_ns()
-                    fn()
-                    t2 = perf_counter_ns()
-                    prof.record_timed(fn, t1 - t0, t2 - t1, len(heap))
-                else:
-                    fn()
-                    prof.record_counted(fn)
-                events += 1
-                if events > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events at t={self.now:.3f} ms; "
-                        "likely a livelock in the simulated system"
-                    )
-            if until is not None and until > self.now:
-                self.now = until
-            return self.now
-        finally:
-            prof._stride_pos = k
-
-    def run_until_complete(self, process: Process, max_events: int = 50_000_000) -> Any:
-        """Run until *process* finishes; return its result (or raise)."""
-        prof = self.hostprof
-        if prof is not None and prof.active:
-            return self._run_until_complete_profiled(process, max_events)
-        events = 0
-        heap = self._heap
-        while not process.resolved:
-            if not heap:
-                raise SimulationError(
-                    f"event queue drained but process {process.name!r} "
-                    "never completed (deadlock)"
-                )
-            when, _, timer, fn = heapq.heappop(heap)
-            if timer is not None and timer.cancelled:
-                continue
-            self.now = when
-            fn()
-            events += 1
-            if events > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events waiting on {process.name!r}"
-                )
-        return process.value
-
-    def _run_until_complete_profiled(self, process: Process, max_events: int) -> Any:
-        """Profiled twin of :meth:`run_until_complete`."""
-        prof = self.hostprof
-        events = 0
-        heap = self._heap
-        stride = prof.sample
-        k = prof._stride_pos
-        try:
-            while not process.resolved:
-                if not heap:
-                    raise SimulationError(
-                        f"event queue drained but process {process.name!r} "
-                        "never completed (deadlock)"
-                    )
-                t0 = perf_counter_ns()
-                when, _, timer, fn = heapq.heappop(heap)
-                if timer is not None and timer.cancelled:
-                    prof.note_cancelled_pop(perf_counter_ns() - t0)
-                    continue
-                self.now = when
-                k += 1
-                if k >= stride:
-                    k = 0
-                    t1 = perf_counter_ns()
-                    fn()
-                    t2 = perf_counter_ns()
-                    prof.record_timed(fn, t1 - t0, t2 - t1, len(heap))
-                else:
-                    fn()
-                    prof.record_counted(fn)
-                events += 1
-                if events > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events waiting on {process.name!r}"
-                    )
-            return process.value
-        finally:
-            prof._stride_pos = k
+        return False
 
     # -- introspection ----------------------------------------------------
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net import BROADCAST, Network
+from repro.net import BROADCAST, Delay, Duplicate, LinkFilter, Network
 from repro.sim import LatencyModel, Simulator
 
 
@@ -137,6 +137,41 @@ class TestBroadcast:
         sim.run()
         assert net.stats.frames_sent == 1
         assert net.stats.frames_by_kind == {"grp.bc": 1}
+
+    def test_broadcast_is_one_event_per_arrival_instant(self):
+        sim, net = make_network()
+        a = net.attach("a")
+        receivers = [net.attach(x) for x in ("b", "c", "d")]
+        a.broadcast("hello", None)
+        assert len(sim._heap) == 1  # not one event per receiver
+        sim.run()
+        assert all(len(r.inbox) == 1 for r in receivers)
+
+    def test_delayed_receiver_gets_its_own_event(self):
+        sim, net = make_network()
+        net.add_policy(
+            Delay("slow-c", LinkFilter(dst="c"), min_ms=5.0, max_ms=5.0)
+        )
+        a = net.attach("a")
+        order = []
+        for x in ("b", "c", "d"):
+            net.attach(x).receiver = lambda p: order.append((p.dst, sim.now))
+        a.broadcast("hello", None)
+        assert len(sim._heap) == 2
+        sim.run()
+        assert [dst for dst, _ in order] == ["b", "d", "c"]
+        assert order[0][1] == order[1][1] < order[2][1]
+
+    def test_duplicates_arrive_back_to_back(self):
+        sim, net = make_network()
+        net.add_policy(Duplicate("dup-b", LinkFilter(dst="b"), copies=2))
+        a = net.attach("a")
+        got = []
+        for x in ("b", "c"):
+            net.attach(x).receiver = lambda p: got.append(p.dst)
+        a.broadcast("hello", None)
+        sim.run()
+        assert got == ["b", "b", "b", "c"]
 
     def test_broadcast_respects_partitions(self):
         sim, net = make_network()
