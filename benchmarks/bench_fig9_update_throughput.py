@@ -15,7 +15,7 @@ while single-client latency is unchanged (a singleton batch takes the
 classic path).
 """
 
-from repro.bench import update_latency, update_throughput
+from repro.bench import GROUP_COMMIT, fig7_cell, update_throughput
 from repro.bench.tables import format_throughput_curve
 
 from conftest import write_result
@@ -37,21 +37,25 @@ def run_fig9():
 def run_group_commit_scaling():
     """E3b: the batched disk service vs the same deployment unbatched.
 
-    ``server_threads=8`` on both sides — the paper's single initiator
-    thread caps in-flight requests at one per server, which starves
-    batch formation; the comparison isolates the batching lever.
+    :data:`~repro.bench.harness.GROUP_COMMIT` (``server_threads=8``) on
+    both sides — the paper's single initiator thread caps in-flight
+    requests at one per server, which starves batch formation; the
+    comparison isolates the batching lever.
     """
     out = {"batched": {}, "unbatched": {}}
     for n in SCALE_CLIENTS:
         out["batched"][n] = update_throughput(
-            "group", n, seed=0, measure_ms=15_000.0, server_threads=8
+            "group", n, seed=0, measure_ms=15_000.0, **GROUP_COMMIT
         )
         out["unbatched"][n] = update_throughput(
-            "group", n, seed=0, measure_ms=15_000.0, server_threads=8, batch_max=1
+            "group", n, seed=0, measure_ms=15_000.0, **GROUP_COMMIT, batch_max=1
         )
-    out["latency_batched_ms"] = update_latency("group", seed=0, server_threads=8)
-    out["latency_unbatched_ms"] = update_latency(
-        "group", seed=0, server_threads=8, batch_max=1
+    out["latency_batched_ms"] = fig7_cell(
+        "group", "append_delete", iterations=20, seed=0, **GROUP_COMMIT
+    )
+    out["latency_unbatched_ms"] = fig7_cell(
+        "group", "append_delete", iterations=20, seed=0, **GROUP_COMMIT,
+        batch_max=1,
     )
     return out
 

@@ -14,10 +14,9 @@ committed baseline:
         --out BENCH_headline.json \
         --check-against BENCH_headline.json
 
-The check fails (exit 1) when the single-client update latency of the
-batched disk service regresses more than 5% against the baseline.
+The check fails (exit 1) when any field differs from the baseline.
 The simulation is deterministic, so any drift is a real code change,
-not noise.
+not noise: re-record the file in the change that causes it.
 """
 
 import argparse
@@ -25,36 +24,51 @@ import json
 import pathlib
 import sys
 
-from repro.bench import lookup_throughput, update_latency, update_throughput
+from repro.bench import GROUP_COMMIT, fig7_cell, lookup_throughput, update_throughput
+
+#: The batched writer sweep runs until throughput stops rising (it
+#: peaks at 32 writers); batch_max=1 is flat from one writer on.
+BATCHED_WRITERS = (1, 8, 16, 32, 48)
+UNBATCHED_WRITERS = (1, 8)
 
 
-def run_headline(measure_ms=15_000.0):
-    lookups = lookup_throughput(
-        "group", 7, seed=0, measure_ms=min(measure_ms, 8_000.0)
-    )
-    pairs = update_throughput("nvram", 7, seed=0, measure_ms=measure_ms)
+def run_headline():
+    lookups = lookup_throughput("group", 7, seed=0, measure_ms=8_000.0)
+    pairs = update_throughput("nvram", 7, seed=0, measure_ms=15_000.0)
     return lookups, pairs * 2.0
 
 
-def run_group_commit(measure_ms=15_000.0):
+def single_client_latency(**deploy_kwargs):
+    """Mean append-delete pair latency (ms) on the group-commit deployment."""
+    return fig7_cell(
+        "group", "append_delete", iterations=20, seed=0,
+        **GROUP_COMMIT, **deploy_kwargs,
+    )
+
+
+def run_group_commit():
     """Before/after record of group-commit batching on the disk-backed
-    group service (``server_threads=8`` so requests can queue)."""
+    group service (:data:`~repro.bench.harness.GROUP_COMMIT`, so
+    requests can queue)."""
+
+    def pairs_per_s(n, **deploy_kwargs):
+        return update_throughput(
+            "group", n, seed=0, measure_ms=15_000.0,
+            **GROUP_COMMIT, **deploy_kwargs,
+        )
+
     out = {
         "single_client_latency_ms": {
-            "batched": update_latency("group", seed=0, server_threads=8),
-            "batch_max_1": update_latency(
-                "group", seed=0, server_threads=8, batch_max=1
-            ),
+            "batched": single_client_latency(),
+            "batch_max_1": single_client_latency(batch_max=1),
         },
-        "pairs_per_s": {"batched": {}, "batch_max_1": {}},
+        "pairs_per_s": {
+            "batched": {str(n): pairs_per_s(n) for n in BATCHED_WRITERS},
+            "batch_max_1": {
+                str(n): pairs_per_s(n, batch_max=1) for n in UNBATCHED_WRITERS
+            },
+        },
     }
-    for n in (1, 8):
-        out["pairs_per_s"]["batched"][str(n)] = update_throughput(
-            "group", n, seed=0, measure_ms=measure_ms, server_threads=8
-        )
-        out["pairs_per_s"]["batch_max_1"][str(n)] = update_throughput(
-            "group", n, seed=0, measure_ms=measure_ms, server_threads=8, batch_max=1
-        )
     out["scaling_x"] = round(
         out["pairs_per_s"]["batched"]["8"] / out["pairs_per_s"]["batched"]["1"], 2
     )
@@ -84,7 +98,7 @@ def test_headline_matches_committed_baseline():
     """The committed BENCH_headline.json must describe THIS code."""
     baseline_path = pathlib.Path(__file__).parent.parent / "BENCH_headline.json"
     baseline = json.loads(baseline_path.read_text())
-    measured = update_latency("group", seed=0, server_threads=8)
+    measured = single_client_latency()
     committed = baseline["group_commit"]["single_client_latency_ms"]["batched"]
     assert measured <= committed * 1.05, (
         f"single-client update latency {measured:.1f} ms regressed >5% "
@@ -96,26 +110,29 @@ def test_headline_matches_committed_baseline():
 # script mode (CI bench-smoke job)
 # ----------------------------------------------------------------------
 
+def _differences(old, new, path=""):
+    """Every leaf where *new* differs from *old*, as (path, old, new)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _differences(
+                old.get(key), new.get(key), f"{path}.{key}" if path else key)
+    elif old != new:
+        yield path, old, new
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_headline.json")
     parser.add_argument(
-        "--quick", action="store_true",
-        help="shorter measurement windows (CI smoke)",
-    )
-    parser.add_argument(
         "--check-against", default=None,
-        help="baseline JSON to gate single-client update latency against",
+        help="baseline JSON every field must equal",
     )
-    parser.add_argument("--max-latency-regression", type=float, default=0.05)
     args = parser.parse_args(argv)
 
-    measure_ms = 6_000.0 if args.quick else 15_000.0
-    lookups, updates = run_headline(measure_ms)
-    group_commit = run_group_commit(measure_ms)
+    lookups, updates = run_headline()
+    group_commit = run_group_commit()
     result = {
         "schema": 1,
-        "quick": args.quick,
         "headline": {
             "lookups_per_s": round(lookups, 1),
             "paper_lookups_per_s": 627,
@@ -136,25 +153,20 @@ def main(argv=None) -> int:
         for k in curve:
             curve[k] = round(curve[k], 2)
 
-    status = 0
-    if args.check_against:
-        baseline = json.loads(pathlib.Path(args.check_against).read_text())
-        allowed = 1.0 + args.max_latency_regression
-        old = baseline["group_commit"]["single_client_latency_ms"]["batched"]
-        new = result["group_commit"]["single_client_latency_ms"]["batched"]
-        verdict = "ok" if new <= old * allowed else "REGRESSED"
-        print(
-            f"single-client update latency: {new:.1f} ms "
-            f"(baseline {old:.1f} ms, limit {old * allowed:.1f} ms) {verdict}"
-        )
-        if verdict != "ok":
-            status = 1
-
     out_path = pathlib.Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
-    return status
+
+    if args.check_against:
+        baseline = json.loads(pathlib.Path(args.check_against).read_text())
+        drift = list(_differences(baseline, result))
+        for path, old, new in drift:
+            print(f"DRIFT {path}: baseline {old!r}, measured {new!r}")
+        print(f"{len(drift)} field(s) differ from {args.check_against}")
+        if drift:
+            return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,11 +6,19 @@ Implementations are addressed by name:
 * ``"rpc"`` — the duplicated RPC service (previous design);
 * ``"nfs"`` — the single-copy SunOS/NFS-like baseline;
 * ``"nvram"`` — the group service with the 24 KB NVRAM board.
+
+Every multi-client experiment is one closed loop,
+:func:`drive_closed_loop`: boot a deployment, run the workload's setup,
+start N clients with one outstanding request each, then warm up,
+measure and drain. Figs. 8 and 9, the capacity observatory
+(:mod:`repro.obs.capacity`) and the host-speed scenarios
+(:mod:`repro.bench.simbench`) all run it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.cluster import (
     GroupServiceCluster,
@@ -92,9 +100,16 @@ def build_deployment(impl: str, seed: int = 0, **kwargs) -> Deployment:
 # Fig. 7: single-client latency
 # ----------------------------------------------------------------------
 
-def fig7_cell(impl: str, test: str, iterations: int = 15, seed: int = 0) -> float:
-    """Mean latency (ms) of one Fig. 7 cell."""
-    deployment = build_deployment(impl, seed=seed)
+def fig7_cell(
+    impl: str,
+    test: str,
+    iterations: int = 15,
+    seed: int = 0,
+    **deploy_kwargs,
+) -> float:
+    """Mean latency (ms) of one Fig. 7 cell on a deployment built with
+    *deploy_kwargs*."""
+    deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
     client = deployment.add_client("bench")
     sim = deployment.sim
     root = deployment.root
@@ -138,8 +153,82 @@ def fig7_table(iterations: int = 15, seed: int = 0) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Figs. 8 and 9: multi-client throughput
+# Figs. 8 and 9: N closed-loop clients against one deployment
 # ----------------------------------------------------------------------
+
+#: The group-commit deployment: eight initiator threads per server, so
+#: concurrent writers' requests can queue into one batch (the paper's
+#: single thread caps in-flight requests at one per server). The
+#: headline bench, Fig. 9b and ``capacity update`` all run it.
+GROUP_COMMIT = {"server_threads": 8}
+
+#: The name every lookup reads; setup registers it.
+HOT_NAME = "hot-name"
+
+#: In the mixed workload, 1 iteration in 10 is an append/delete pair.
+MIXED_UPDATE_EVERY = 10
+
+
+def _lookup(client, root, _target, _tag, _n):
+    return lookup_once(client, root, HOT_NAME)
+
+
+def _pair(client, root, target, tag, n):
+    return append_delete_once(client, root, f"w{tag}-{n}", target)
+
+
+def _mixed(client, root, target, tag, n):
+    if n % MIXED_UPDATE_EVERY == 0:
+        return append_delete_once(client, root, f"m{tag}-{n}", target)
+    return lookup_once(client, root, HOT_NAME)
+
+
+#: workload -> (setup registers HOT_NAME, one iteration of client *tag*).
+#: Setup always creates the directory the pairs append to. Names keep
+#: their exact length: it sets the frame size and so the schedule.
+WORKLOADS = {
+    "lookup": (True, _lookup),
+    "pair": (False, _pair),
+    "mixed": (True, _mixed),
+}
+
+
+def drive_closed_loop(
+    deployment: Deployment,
+    workload: str,
+    n_clients: int,
+    warmup_ms: float,
+    measure_ms: float,
+    observer=None,
+) -> tuple[float, list[ClosedLoopClient]]:
+    """Run *workload*'s setup on the booted *deployment*, then
+    *n_clients* closed-loop clients through warmup, measurement and
+    drain (*observer* wraps the measure window). Returns the window's
+    ops/s and the clients."""
+    registers_hot_name, iteration = WORKLOADS[workload]
+    sim = deployment.sim
+    root = deployment.root
+    setup_client = deployment.add_client("setup")
+
+    def setup():
+        target = yield from setup_client.create_dir()
+        if registers_hot_name:
+            yield from setup_client.append_row(root, HOT_NAME, (target,))
+        return target
+
+    target = deployment.cluster.run_process(setup())
+    metrics = Metrics()
+    clients = [
+        ClosedLoopClient(
+            sim, f"load{i}",
+            partial(iteration, deployment.add_client(f"load{i}"), root,
+                    target, i),
+            metrics, workload)
+        for i in range(n_clients)
+    ]
+    window = run_closed_loop(sim, clients, warmup_ms, measure_ms, observer)
+    return metrics.throughput_per_second(workload, window), clients
+
 
 def lookup_throughput(
     impl: str,
@@ -151,61 +240,8 @@ def lookup_throughput(
 ) -> float:
     """One Fig. 8 point: total lookups/second with *n_clients*."""
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
-    sim = deployment.sim
-    root = deployment.root
-    metrics = Metrics()
-
-    setup_client = deployment.add_client("setup")
-
-    def setup():
-        target = yield from setup_client.create_dir()
-        yield from setup_client.append_row(root, "hot-name", (target,))
-
-    deployment.cluster.run_process(setup())
-
-    clients = []
-    for i in range(n_clients):
-        directory_client = deployment.add_client(f"load{i}")
-
-        def iteration(_n, c=directory_client):
-            yield from lookup_once(c, root, "hot-name")
-
-        clients.append(
-            ClosedLoopClient(sim, f"load{i}", iteration, metrics, "lookup")
-        )
-    window = run_closed_loop(sim, clients, warmup_ms, measure_ms)
-    return metrics.throughput_per_second("lookup", window)
-
-
-def update_latency(
-    impl: str,
-    iterations: int = 20,
-    seed: int = 0,
-    **deploy_kwargs,
-) -> float:
-    """Mean single-client append-delete pair latency (ms).
-
-    Unlike :func:`fig7_cell` this accepts deployment overrides, so the
-    group-commit bench can compare ``batch_max=1`` against the batched
-    default on otherwise identical deployments.
-    """
-    deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
-    client = deployment.add_client("bench")
-    sim = deployment.sim
-    root = deployment.root
-    out = {}
-
-    def driver():
-        target = yield from client.create_dir()
-        samples = []
-        for i in range(iterations):
-            start = sim.now
-            yield from append_delete_once(client, root, f"t{i}", target)
-            samples.append(sim.now - start)
-        out["mean"] = sum(samples) / len(samples)
-
-    deployment.cluster.run_process(driver())
-    return out["mean"]
+    return drive_closed_loop(
+        deployment, "lookup", n_clients, warmup_ms, measure_ms)[0]
 
 
 def update_throughput(
@@ -218,28 +254,5 @@ def update_throughput(
 ) -> float:
     """One Fig. 9 point: append-delete PAIRS/second with *n_clients*."""
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
-    sim = deployment.sim
-    root = deployment.root
-    metrics = Metrics()
-
-    setup_client = deployment.add_client("setup")
-    target_holder = {}
-
-    def setup():
-        target_holder["cap"] = yield from setup_client.create_dir()
-
-    deployment.cluster.run_process(setup())
-    target = target_holder["cap"]
-
-    clients = []
-    for i in range(n_clients):
-        directory_client = deployment.add_client(f"load{i}")
-
-        def iteration(n, c=directory_client, tag=i):
-            yield from append_delete_once(c, root, f"w{tag}-{n}", target)
-
-        clients.append(
-            ClosedLoopClient(sim, f"load{i}", iteration, metrics, "pair")
-        )
-    window = run_closed_loop(sim, clients, warmup_ms, measure_ms)
-    return metrics.throughput_per_second("pair", window)
+    return drive_closed_loop(
+        deployment, "pair", n_clients, warmup_ms, measure_ms)[0]

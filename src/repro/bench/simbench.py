@@ -1,11 +1,12 @@
 """Canonical scenarios for host-speed measurement.
 
 The paper-facing benchmarks (:mod:`repro.bench.harness`) report
-*simulated* latency and throughput. This module runs the same cluster
-under fixed closed-loop workloads and reports how fast the **host**
-chews through simulated events — the number every raw-speed refactor
-is judged by (`python -m repro perf`, ``benchmarks/bench_sim.py``, and
-the observability overhead accountant all drive scenarios from here).
+*simulated* latency and throughput. This module runs the same
+closed-loop driver (:func:`repro.bench.harness.drive_closed_loop`) at
+fixed scales and reports how fast the **host** chews through simulated
+events — the number every raw-speed refactor is judged by (`python -m
+repro perf`, ``benchmarks/bench_sim.py``, and the observability
+overhead accountant all drive scenarios from here).
 
 Scenarios are deterministic: for a given (scenario, scale, seed) the
 event count, operation count, and metrics snapshot are pure functions
@@ -18,15 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Any
 
-from repro.bench.harness import build_deployment
+from repro.bench.harness import build_deployment, drive_closed_loop
 from repro.obs import hostprof
-from repro.workloads.clients import ClosedLoopClient, run_closed_loop
-from repro.workloads.generators import append_delete_once, lookup_once
-from repro.workloads.metrics import Metrics
 
 #: Workload sizes. Clients are closed-loop (one outstanding op each);
 #: the measure window is simulated milliseconds.
@@ -36,10 +34,8 @@ SCALES: dict[str, dict[str, float]] = {
     "large": {"clients": 24, "warmup_ms": 1_000.0, "measure_ms": 15_000.0},
 }
 
-SCENARIOS = ("lookup", "update", "mixed")
-
-#: In the mixed workload, 1 iteration in 10 is an append/delete pair.
-MIXED_UPDATE_EVERY = 10
+#: scenario -> closed-loop workload (:data:`repro.bench.harness.WORKLOADS`).
+SCENARIOS = {"lookup": "lookup", "update": "pair", "mixed": "mixed"}
 
 
 @dataclass
@@ -60,7 +56,6 @@ class PerfRun:
     capture: Any = None  # hostprof.Capture when profile=True
     trace_events: int = 0
     monitor_ticks: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def events_per_s(self) -> float:
@@ -87,49 +82,6 @@ class PerfRun:
         }
 
 
-def _make_clients(scenario: str, deployment, root, metrics: Metrics, n: int):
-    """Closed-loop clients for *scenario* against a booted deployment."""
-    sim = deployment.sim
-    setup_client = deployment.add_client("setup")
-    holder: dict[str, Any] = {}
-
-    def setup():
-        holder["target"] = yield from setup_client.create_dir()
-        yield from setup_client.append_row(root, "hot-name", (holder["target"],))
-
-    deployment.cluster.run_process(setup())
-    target = holder["target"]
-
-    clients = []
-    for i in range(n):
-        directory_client = deployment.add_client(f"load{i}")
-
-        if scenario == "lookup":
-
-            def iteration(_n, c=directory_client):
-                yield from lookup_once(c, root, "hot-name")
-
-        elif scenario == "update":
-
-            def iteration(n_, c=directory_client, tag=i):
-                yield from append_delete_once(c, root, f"w{tag}-{n_}", target)
-
-        elif scenario == "mixed":
-
-            def iteration(n_, c=directory_client, tag=i):
-                if n_ % MIXED_UPDATE_EVERY == 0:
-                    yield from append_delete_once(c, root, f"m{tag}-{n_}", target)
-                else:
-                    yield from lookup_once(c, root, "hot-name")
-
-        else:
-            raise ValueError(
-                f"unknown scenario {scenario!r}; pick from {SCENARIOS}"
-            )
-        clients.append(ClosedLoopClient(sim, f"load{i}", iteration, metrics, "op"))
-    return clients
-
-
 def _registry_digest(sim) -> str:
     snapshot = sim.obs.registry.snapshot()
     payload = json.dumps(snapshot, sort_keys=True, default=repr)
@@ -140,7 +92,6 @@ def run_perf_scenario(
     scenario: str,
     scale: str = "small",
     seed: int = 0,
-    impl: str = "group",
     trace: bool = False,
     monitor: bool = False,
     profile: bool = True,
@@ -158,10 +109,13 @@ def run_perf_scenario(
     """
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; pick from {sorted(SCALES)}")
+    if scenario not in SCENARIOS:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; pick from {tuple(SCENARIOS)}")
     params = SCALES[scale]
 
     def body():
-        deployment = build_deployment(impl, seed=seed)
+        deployment = build_deployment("group", seed=seed)
         sim = deployment.sim
         if trace:
             sim.obs.tracer.enable(capacity=4096)
@@ -170,23 +124,19 @@ def run_perf_scenario(
             from repro.obs.monitor import HealthMonitor
 
             mon = HealthMonitor(sim).start()
-        metrics = Metrics()
-        clients = _make_clients(
-            scenario, deployment, deployment.root, metrics, int(params["clients"])
-        )
-        run_closed_loop(
-            sim, clients, params["warmup_ms"], params["measure_ms"]
-        )
-        return deployment, sim, mon, clients
+        _, clients = drive_closed_loop(
+            deployment, SCENARIOS[scenario], int(params["clients"]),
+            params["warmup_ms"], params["measure_ms"])
+        return sim, mon, clients
 
     if profile:
         with hostprof.capture(sample=sample, keep_slices=keep_slices) as cap:
-            deployment, sim, mon, clients = body()
+            sim, mon, clients = body()
         wall_ns = cap.wall_ns
     else:
         cap = None
         t0 = perf_counter_ns()
-        deployment, sim, mon, clients = body()
+        sim, mon, clients = body()
         wall_ns = perf_counter_ns() - t0
 
     return PerfRun(

@@ -1,7 +1,9 @@
 """Queueing-theoretic bottleneck attribution and capacity prediction.
 
-Runs a closed-loop scenario (the bench harness's Fig. 8/9 workloads)
-with the saturation sampler on, differences registry marks across the
+Runs the bench harness's closed-loop experiment
+(:func:`repro.bench.harness.drive_closed_loop`) on the deployment the
+headline bench measures for the scenario's service, with the
+saturation sampler on, differences registry marks across the
 measurement window, and reports, per resource:
 
 * utilization ``rho = busy_ms / window_ms``;
@@ -17,10 +19,12 @@ measurement window, and reports, per resource:
 Resources are ranked by rho; the top-ranked resource's utilization law
 gives the capacity ceiling: at saturation ``rho -> 1``, so the
 workload ceiling is ``X / rho`` ops/s — equivalently ``1/S`` resource
-completions/s scaled by completions-per-op. ``--scale`` sweeps the
-writer count (at ``batch_max=1``, the paper's unbatched Fig. 9 curve),
-fits the measured throughput curve against the predicted ceiling, and
-compares the prediction to the committed BENCH_headline.json plateau.
+completions/s scaled by completions-per-op. The wire is reported as
+offered load but never ranked: it has no queue, so its rho can pass
+1.0 without binding anything. ``--scale`` sweeps the writer count (at
+``batch_max=1``, the paper's unbatched Fig. 9 curve), fits the measured
+throughput curve against the predicted ceiling, and compares the
+prediction to the committed BENCH_headline.json plateau.
 
 Everything is deterministic: reports are seeded sim output only (no
 wall-clock, no host ordering), so same-seed reports are byte-identical.
@@ -29,19 +33,18 @@ wall-clock, no host ordering), so same-seed reports are byte-identical.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.bench.harness import build_deployment
+from repro.bench.harness import GROUP_COMMIT, build_deployment, drive_closed_loop
 from repro.obs.saturation import DEFAULT_INTERVAL_MS, SaturationSampler
-from repro.workloads.clients import ClosedLoopClient
-from repro.workloads.generators import append_delete_once, lookup_once
-from repro.workloads.metrics import Metrics
 
-#: scenario -> (implementation, operation kind)
+#: scenario -> (implementation, closed-loop workload, deployment kwargs):
+#: each the deployment the headline bench measures for that service.
 SCENARIOS = {
-    "update": ("group", "pair"),
-    "nvram-update": ("nvram", "pair"),
-    "lookup": ("group", "lookup"),
+    "update": ("group", "pair", GROUP_COMMIT),
+    "nvram-update": ("nvram", "pair", {}),
+    "lookup": ("group", "lookup", {}),
 }
 
 #: Below this activity (queue depth / expected depth) the Little
@@ -65,6 +68,12 @@ RESOURCE_SPECS = (
      "wait_is_sojourn": False},
     {"kind": "nvram", "busy": "nvram.busy_ms", "done": "nvram.appends",
      "wait": None, "queue": None, "wait_is_sojourn": False},
+)
+
+#: Offered load, not a queue: senders never contend for the simulated
+#: cable, so its "rho" can exceed 1.0 (net/network.py). Reported, but
+#: never ranked or extrapolated from.
+OFFERED_LOAD_SPECS = (
     {"kind": "wire", "busy": "net.wire_ms", "done": "net.frames_sent",
      "wait": None, "queue": None, "wait_is_sojourn": False},
 )
@@ -119,14 +128,18 @@ class RegistryMarks:
                    areas=registry.gauge_areas())
 
 
-def window_stats(marks0: RegistryMarks, marks1: RegistryMarks) -> list[ResourceStats]:
+def window_stats(
+    marks0: RegistryMarks,
+    marks1: RegistryMarks,
+    specs: tuple = RESOURCE_SPECS,
+) -> list[ResourceStats]:
     """Per-resource queueing stats from two registry captures, ranked
     by utilization (ties break toward the protocol pipeline)."""
     dt = marks1.t_ms - marks0.t_ms
     if dt <= 0.0:
         return []
     out: list[ResourceStats] = []
-    for spec in RESOURCE_SPECS:
+    for spec in specs:
         busy_name = spec["busy"]
         nodes = sorted(
             node for (node, name) in marks1.counters if name == busy_name)
@@ -185,7 +198,7 @@ def utilization_summary(registry, elapsed_ms: float) -> dict:
     sampler required, deterministic.
     """
     out: dict[str, float] = {}
-    for spec in RESOURCE_SPECS:
+    for spec in RESOURCE_SPECS + OFFERED_LOAD_SPECS:
         best = 0.0
         for _node, counter in registry.find_counters(spec["busy"]):
             if elapsed_ms > 0.0:
@@ -209,60 +222,32 @@ def run_point(
 ) -> dict:
     """One closed-loop run: throughput + ranked resource stats.
 
-    Mirrors :func:`repro.bench.harness.update_throughput` (same client
-    loop, same warmup/measure phasing) but captures registry marks at
-    the window edges and runs the saturation sampler inside it.
+    Runs :func:`repro.bench.harness.drive_closed_loop` and, across its
+    measure window, captures registry marks at the edges and runs the
+    saturation sampler.
     """
     if scenario not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {scenario!r} (have {sorted(SCENARIOS)})")
-    impl, op_kind = SCENARIOS[scenario]
-    deploy_kwargs = {} if batch_max is None else {"batch_max": batch_max}
+    impl, op_kind, deploy_kwargs = SCENARIOS[scenario]
+    if batch_max is not None:
+        deploy_kwargs = {**deploy_kwargs, "batch_max": batch_max}
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
     sim = deployment.sim
-    root = deployment.root
-    metrics = Metrics()
+    sampler = SaturationSampler(sim, interval_ms=sample_interval_ms)
+    marks: list[RegistryMarks] = []
 
-    setup_client = deployment.add_client("setup")
-    target_holder: dict = {}
+    @contextmanager
+    def window():
+        sampler.start()
+        marks.append(RegistryMarks.capture(sim.obs.registry, sim.now))
+        yield
+        marks.append(RegistryMarks.capture(sim.obs.registry, sim.now))
+        sampler.stop()
 
-    def setup():
-        target_holder["cap"] = yield from setup_client.create_dir()
-        if op_kind == "lookup":
-            yield from setup_client.append_row(
-                root, "hot-name", (target_holder["cap"],))
-
-    deployment.cluster.run_process(setup())
-    target = target_holder["cap"]
-
-    clients = []
-    for i in range(writers):
-        directory_client = deployment.add_client(f"load{i}")
-        if op_kind == "lookup":
-            def iteration(_n, c=directory_client):
-                yield from lookup_once(c, root, "hot-name")
-        else:
-            def iteration(n, c=directory_client, tag=i):
-                yield from append_delete_once(c, root, f"w{tag}-{n}", target)
-        clients.append(
-            ClosedLoopClient(sim, f"load{i}", iteration, metrics, op_kind))
-
-    window_start = sim.now + warmup_ms
-    for client in clients:
-        client.metrics.window_start = window_start
-        client.metrics.window_end = window_start + measure_ms
-        client.start()
-    sim.run(until=window_start)
-    sampler = SaturationSampler(sim, interval_ms=sample_interval_ms).start()
-    marks0 = RegistryMarks.capture(sim.obs.registry, sim.now)
-    sim.run(until=window_start + measure_ms)
-    marks1 = RegistryMarks.capture(sim.obs.registry, sim.now)
-    sampler.stop()
-    for client in clients:
-        client.stop()
-    sim.run(until=sim.now + 2_000.0)  # drain in-flight operations
-
-    throughput = metrics.throughput_per_second(op_kind, measure_ms)
+    throughput, _ = drive_closed_loop(
+        deployment, op_kind, writers, warmup_ms, measure_ms, window())
+    marks0, marks1 = marks
     resources = window_stats(marks0, marks1)
     top = resources[0] if resources else None
     return {
@@ -276,6 +261,10 @@ def run_point(
         "measure_ms": measure_ms,
         "throughput_per_s": round(throughput, 6),
         "resources": [r.as_dict() for r in resources],
+        "offered_load": [
+            r.as_dict()
+            for r in window_stats(marks0, marks1, OFFERED_LOAD_SPECS)
+        ],
         "top_resource": None if top is None else top.label,
         "predicted_ceiling_per_s": (
             None if top is None or top.utilization <= 0.0
@@ -419,6 +408,9 @@ def format_point(report: dict) -> str:
         "",
         "resources by utilization:",
         *_resource_table(report["resources"]),
+        *(f"  offered load, not ranked: {r['resource']} "
+          f"rho={r['utilization']:.4f} X/s={r['throughput_per_s']:.3f}"
+          for r in report["offered_load"]),
         "",
         f"top-ranked bottleneck: {report['top_resource']}",
     ]

@@ -8,6 +8,7 @@ outstanding request.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable
 
 from repro.errors import ReproError
@@ -64,18 +65,23 @@ def run_closed_loop(
     clients: list[ClosedLoopClient],
     warmup_ms: float,
     measure_ms: float,
+    observer=None,
 ) -> float:
     """Start *clients*, run warmup + measurement, stop them.
 
     Sets each client's shared metrics window to the measurement span
-    and returns the measurement duration (for throughput math).
+    and returns the measurement duration (for throughput math). The
+    run stops at the window start, so *observer*, a context manager,
+    can wrap exactly the measurement span.
     """
     window_start = sim.now + warmup_ms
     for client in clients:
         client.metrics.window_start = window_start
         client.metrics.window_end = window_start + measure_ms
         client.start()
-    sim.run(until=window_start + measure_ms)
+    sim.run(until=window_start)
+    with observer or nullcontext():
+        sim.run(until=window_start + measure_ms)
     for client in clients:
         client.stop()
     # Let in-flight operations drain so processes exit cleanly.

@@ -4,14 +4,24 @@ import json
 
 import pytest
 
+from repro.bench.harness import GROUP_COMMIT, lookup_throughput, update_throughput
 from repro.obs import MetricsRegistry
 from repro.obs.capacity import (
+    SCENARIOS,
     RegistryMarks,
     load_headline,
     run_point,
     utilization_summary,
     window_stats,
 )
+
+#: capacity scenario -> the headline bench's measurement of that service.
+HEADLINE_RUNS = {
+    "update": lambda n, **kw: update_throughput(
+        "group", n, **GROUP_COMMIT, **kw),
+    "nvram-update": lambda n, **kw: update_throughput("nvram", n, **kw),
+    "lookup": lambda n, **kw: lookup_throughput("group", n, **kw),
+}
 
 
 def make_marked_registry():
@@ -95,6 +105,20 @@ class TestWindowStats:
         marks1 = RegistryMarks.capture(registry, 1_000.0)
         assert window_stats(marks0, marks1) == []
 
+    def test_wire_is_offered_load_not_a_ranked_resource(self):
+        holder, registry = make_marked_registry()
+        marks0 = RegistryMarks.capture(registry, 0.0)
+        registry.counter("net", "net.wire_ms").inc(1_500.0)
+        registry.counter("net", "net.frames_sent").inc(300)
+        registry.counter("n0", "cpu.busy_ms").inc(400.0)
+        registry.counter("n0", "cpu.grants").inc(4)
+        holder["now"] = 1_000.0
+        marks1 = RegistryMarks.capture(registry, 1_000.0)
+        assert [r.label for r in window_stats(marks0, marks1)] == ["cpu(n0)"]
+        summary = utilization_summary(registry, 1_000.0)
+        assert list(summary) == ["seq", "cpu", "disk", "nvram", "wire"]
+        assert summary["wire"] == 1.5
+
     def test_empty_window_yields_no_rows(self):
         holder, registry = make_marked_registry()
         marks = RegistryMarks.capture(registry, 5.0)
@@ -164,3 +188,30 @@ class TestRunPoint:
     def test_unknown_scenario_raises(self):
         with pytest.raises(ValueError):
             run_point("fizzbuzz", 1)
+
+    def test_saturated_wire_is_reported_but_never_the_bottleneck(self):
+        # 48 batched writers offer the cable more time than the window
+        # holds: senders never contend for it, so its rho passes 1.0.
+        report = run_point(
+            "update", 48, seed=0, warmup_ms=1_000.0, measure_ms=2_000.0)
+        (wire,) = report["offered_load"]
+        assert wire["resource"] == "wire(net)"
+        assert wire["utilization"] > 1.0
+        assert all(r["kind"] != "wire" for r in report["resources"])
+        assert report["top_resource"] == "seq(grp.dir0)"
+        assert report["predicted_ceiling_per_s"] >= report["throughput_per_s"]
+
+
+class TestSameExperimentAsHeadline:
+    """Capacity measures the deployment the headline bench records."""
+
+    def test_every_scenario_has_a_headline_twin(self):
+        assert set(HEADLINE_RUNS) == set(SCENARIOS)
+
+    @pytest.mark.parametrize("scenario", sorted(HEADLINE_RUNS))
+    def test_run_point_throughput_equals_harness(self, scenario):
+        window = {"seed": 0, "warmup_ms": 500.0, "measure_ms": 2_000.0}
+        report = run_point(scenario, 4, **window)
+        expected = HEADLINE_RUNS[scenario](4, **window)
+        assert report["throughput_per_s"] == round(expected, 6)
+

@@ -4,13 +4,18 @@ The real experiments live in benchmarks/; these just pin the harness
 API so refactors cannot silently break the reproduction machinery.
 """
 
+import json
 import math
+import pathlib
 
 import pytest
 
-from repro.bench import build_deployment, fig7_cell, lookup_throughput
+from repro.bench import GROUP_COMMIT, build_deployment, fig7_cell, lookup_throughput
 from repro.bench.harness import PAPER_FIG7
+from repro.bench.simbench import run_perf_scenario
 from repro.bench.tables import format_fig7, format_throughput_curve, shape_check_fig7
+
+BENCH_SIM = pathlib.Path(__file__).parent.parent / "BENCH_sim.json"
 
 
 class TestBuildDeployment:
@@ -112,3 +117,26 @@ class TestThroughputHarness:
         )
         assert "Title" in rendered and "ops/s" in rendered
         assert "100.0" in rendered and "200.0" in rendered
+
+
+class TestClosedLoopDriver:
+    """The one closed-loop driver must keep every caller's schedule."""
+
+    @pytest.mark.parametrize("obs", ["obs_off", "obs_on"])
+    def test_perf_mixed_small_reproduces_bench_sim(self, obs):
+        committed = json.loads(BENCH_SIM.read_text())["scales"]["small"][obs]
+        on = obs == "obs_on"
+        run = run_perf_scenario(
+            "mixed", "small", seed=0, trace=on, monitor=on, profile=False)
+        assert run.ops == committed["ops"]
+        assert run.scheduled_events == committed["scheduled_events"]
+        assert round(run.sim_ms, 1) == committed["sim_ms"]
+
+    def test_group_commit_single_client_latency(self):
+        # A lone writer forms singleton batches, so the group-commit
+        # deployment keeps the classic pair latency, batched or not.
+        for overrides in ({}, GROUP_COMMIT, {**GROUP_COMMIT, "batch_max": 1}):
+            latency = fig7_cell(
+                "group", "append_delete", iterations=20, seed=0, **overrides)
+            assert latency == 195.26197269060395, overrides
+

@@ -1,5 +1,7 @@
 """Unit tests for the closed-loop workload driver."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.errors import ReproError
@@ -60,3 +62,19 @@ class TestClosedLoop:
         clients = [make_client(sim, metrics, op_ms=10.0) for _ in range(3)]
         run_closed_loop(sim, clients, warmup_ms=0.0, measure_ms=100.0)
         assert metrics.count("op") == pytest.approx(30, abs=3)
+
+    def test_observer_wraps_exactly_the_measure_window(self):
+        sim = Simulator(seed=0)
+        metrics = Metrics()
+        edges = []
+
+        @contextmanager
+        def observer():
+            edges.append(sim.now)
+            yield
+            edges.append(sim.now)
+
+        run_closed_loop(sim, [make_client(sim, metrics, op_ms=10.0)],
+                        warmup_ms=50.0, measure_ms=200.0, observer=observer())
+        assert edges == [50.0, 250.0]
+
