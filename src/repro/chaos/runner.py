@@ -109,9 +109,9 @@ class Scenario:
     monitor_thresholds: tuple | None = None
     monitor_interval_ms: float | None = None
     #: Per-client lookup-cache capacity (0 = no cache). >0 also turns
-    #: on ``cache_coherence`` in the deployment config and switches the
-    #: shared-key workload to the cached loop, which records whether
-    #: each read was served from the cache or a server.
+    #: on ``cache_coherence`` in the deployment config and makes the
+    #: shared-key workload read-heavy on cache-enabled clients; every
+    #: read records whether the cache or a server served it.
     cache_size: int = 0
     #: NEGATIVE control: cached clients acknowledge invalidations but
     #: *ignore* them (see repro.directory.client), so the extended
@@ -785,24 +785,35 @@ def _run(
             return True
         return False
 
+    # Shared-key clients contend on four hot names. Cache scenarios run
+    # them read-heavy (two lookups per write) on cache-enabled clients,
+    # and every lookup records whether the client's coherent cache or a
+    # server answered it; the verdict holds a cache-served read to
+    # exactly the server-read bar. The other scenarios use an aggressive
+    # reply timeout: under the storm's >timeout request lag, many first
+    # attempts commit after the client has already given up and resent,
+    # exactly the duplicate window the session layer must close.
+    if scenario.cache_size:
+        shared_rpc = {"reply_timeout_ms": 4_000.0, "max_attempts": 8}
+        shared_kinds = ["append", "delete", "lookup", "lookup", "lookup", "lookup"]
+    else:
+        shared_rpc = {"reply_timeout_ms": 1_000.0, "max_attempts": 4}
+        shared_kinds = ["append", "delete", "lookup", "lookup"]
+
     def shared_client_loop(index, tag):
-        # Aggressive reply timeout: under the storm's >timeout request
-        # lag, many first attempts commit after the client has already
-        # given up and resent — exactly the duplicate window the
-        # session layer must close.
         client = cluster.add_client(
             tag,
-            rpc_timings=RpcTimings(
-                reply_timeout_ms=1_000.0, max_attempts=4, locate_attempts=10
-            ),
+            rpc_timings=RpcTimings(locate_attempts=10, **shared_rpc),
             retry_safe=scenario.retry_safe,
+            cache_size=scenario.cache_size,
+            cache_nocoherence=scenario.cache_nocoherence,
         )
         crng = sim.rng.stream(f"chaos.client.{tag}")
         counter = 0
         while sim.now < deadline:
             name = f"shared-{crng.randrange(4)}"
             key = (1, name)
-            kind = crng.choice(["append", "delete", "lookup", "lookup"])
+            kind = crng.choice(shared_kinds)
             t0 = sim.now
             counter += 1
             try:
@@ -820,7 +831,10 @@ def _run(
                     history.record(tag, "delete", key, None, t0, sim.now)
                 else:
                     got = yield from client.lookup(root, name)
-                    history.record(tag, "lookup", key, got, t0, sim.now)
+                    source = "cache" if client.last_lookup_from_cache else "server"
+                    history.record(
+                        tag, "lookup", key, got, t0, sim.now, source=source
+                    )
             except DirectoryError as exc:
                 # Definitive server answer (AlreadyExists, NotFound):
                 # the write did not take effect. With dedup disabled a
@@ -838,71 +852,7 @@ def _run(
                 yield sim.sleep(500.0)
         return tag
 
-    def cached_client_loop(index, tag):
-        # The shared-key loop, read-heavy and cache-enabled: four hot
-        # names, two lookups for every write, every lookup recording
-        # whether the client's coherent cache or a server answered it.
-        # The verdict runs both through the same register model — a
-        # cache-served read is held to exactly the server-read bar.
-        client = cluster.add_client(
-            tag,
-            rpc_timings=RpcTimings(
-                reply_timeout_ms=4_000.0, max_attempts=8, locate_attempts=10
-            ),
-            retry_safe=scenario.retry_safe,
-            cache_size=scenario.cache_size,
-            cache_nocoherence=scenario.cache_nocoherence,
-        )
-        crng = sim.rng.stream(f"chaos.client.{tag}")
-        counter = 0
-        while sim.now < deadline:
-            name = f"shared-{crng.randrange(4)}"
-            key = (1, name)
-            kind = crng.choice(
-                ["append", "delete", "lookup", "lookup", "lookup", "lookup"]
-            )
-            t0 = sim.now
-            counter += 1
-            try:
-                if kind == "append":
-                    value = dataclasses.replace(
-                        root, check=(index + 1) * 1_000_000 + counter
-                    )
-                    yield from client.append_row(root, name, (value,))
-                    history.record(tag, "append", key, value, t0, sim.now)
-                elif kind == "delete":
-                    yield from client.delete_row(root, name)
-                    history.record(tag, "delete", key, None, t0, sim.now)
-                else:
-                    got = yield from client.lookup(root, name)
-                    history.record(
-                        tag,
-                        "lookup",
-                        key,
-                        got,
-                        t0,
-                        sim.now,
-                        source=(
-                            "cache"
-                            if client.last_lookup_from_cache
-                            else "server"
-                        ),
-                    )
-            except DirectoryError as exc:
-                history.record(tag, kind + "!", key, repr(exc), t0, sim.now)
-            except ReproError:
-                if kind in ("append", "delete"):
-                    ambiguous = value if kind == "append" else None
-                    history.record(tag, kind + "?", key, ambiguous, t0, sim.now)
-                yield sim.sleep(500.0)
-        return tag
-
-    if scenario.cache_size:
-        processes = [
-            sim.spawn(cached_client_loop(i, f"c{i}"), f"chaos-client-{i}")
-            for i in range(n_clients)
-        ]
-    elif scenario.shared_keys:
+    if scenario.shared_keys:
         processes = [
             sim.spawn(shared_client_loop(i, f"c{i}"), f"chaos-client-{i}")
             for i in range(n_clients)

@@ -3,7 +3,9 @@
 The subsystem has three parts (ISSUE 2 tentpole):
 
 * :mod:`repro.obs.registry` — a per-node metrics registry (counters,
-  time-weighted gauges, histograms) that every layer publishes into;
+  time-weighted gauges, histograms) that every layer publishes into,
+  and the one way to read it over a window: ``RegistryMarks`` captured
+  at two instants, differenced per node by ``Window``;
 * :mod:`repro.obs.trace` — a causal trace recorder capturing structured
   protocol events with sim-timestamps and message lineage ids, backed
   by an optional ring buffer so it can run as a flight recorder;
@@ -15,9 +17,11 @@ Two consumers sit on top (ISSUE 5 tentpole):
 * :mod:`repro.obs.spans` — stitches lineage-stamped trace events into
   per-operation causal span trees and a deterministic latency-budget
   report (``python -m repro profile``);
-* :mod:`repro.obs.monitor` — an in-sim health watchdog that samples
-  the registry on a cadence and raises/clears hysteresis alerts
-  (started on every chaos scenario).
+* :mod:`repro.obs.monitor` — an in-sim health watchdog: the registry
+  sampler of :mod:`repro.obs.saturation` with a table of health
+  signals, raising/clearing hysteresis alerts (started on every chaos
+  scenario). The saturation timelines and the capacity attributor read
+  the same sampler's marks.
 
 Every :class:`~repro.sim.scheduler.Simulator` owns one
 :class:`Observability` bundle as ``sim.obs``. Tracing is **off** by

@@ -267,6 +267,7 @@ def record_update_trace(
     :func:`attribute`.
     """
     from repro.bench.harness import build_deployment
+    from repro.workloads.generators import lookup_once
 
     if scenario not in SCENARIOS:
         raise ValueError(
@@ -297,7 +298,7 @@ def record_update_trace(
                 windows.append(OpWindow("delete", start, sim.now, i))
             else:
                 start = sim.now
-                yield from lookup_scenario_once(client, root)
+                yield from lookup_once(client, root, "bench-name")
                 windows.append(OpWindow("lookup", start, sim.now, i))
 
     cluster.run_process(driver())
@@ -311,13 +312,6 @@ def record_update_trace(
         windows=windows,
         dropped=tracer.dropped,
     )
-
-
-def lookup_scenario_once(client, root):
-    from repro.workloads.generators import lookup_once
-
-    result = yield from lookup_once(client, root, "bench-name")
-    return result
 
 
 def check_against_benchmark(

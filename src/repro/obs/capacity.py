@@ -3,8 +3,8 @@
 Runs the bench harness's closed-loop experiment
 (:func:`repro.bench.harness.drive_closed_loop`) on the deployment the
 headline bench measures for the scenario's service, with the
-saturation sampler on, differences registry marks across the
-measurement window, and reports, per resource:
+saturation sampler on, reads the measurement window between the
+sampler's first and last registry marks, and reports, per resource:
 
 * utilization ``rho = busy_ms / window_ms``;
 * throughput ``lambda`` (completions/s) and service time ``S = busy /
@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bench.harness import GROUP_COMMIT, build_deployment, drive_closed_loop
+from repro.obs.registry import RegistryMarks, Window
 from repro.obs.saturation import DEFAULT_INTERVAL_MS, SaturationSampler
 
 #: scenario -> (implementation, closed-loop workload, deployment kwargs):
@@ -114,42 +115,27 @@ class ResourceStats:
         }
 
 
-@dataclass
-class RegistryMarks:
-    """Counter values + gauge areas captured at one instant."""
-
-    t_ms: float
-    counters: dict = field(default_factory=dict)
-    areas: dict = field(default_factory=dict)
-
-    @classmethod
-    def capture(cls, registry, now: float) -> "RegistryMarks":
-        return cls(t_ms=now, counters=registry.counter_values(),
-                   areas=registry.gauge_areas())
-
-
 def window_stats(
     marks0: RegistryMarks,
     marks1: RegistryMarks,
     specs: tuple = RESOURCE_SPECS,
 ) -> list[ResourceStats]:
-    """Per-resource queueing stats from two registry captures, ranked
-    by utilization (ties break toward the protocol pipeline)."""
-    dt = marks1.t_ms - marks0.t_ms
+    """Per-resource queueing stats over the window between two registry
+    marks, ranked by utilization (ties break toward the protocol
+    pipeline)."""
+    window = Window(marks0, marks1)
+    dt = window.dt_ms
     if dt <= 0.0:
         return []
     out: list[ResourceStats] = []
     for spec in specs:
-        busy_name = spec["busy"]
-        nodes = sorted(
-            node for (node, name) in marks1.counters if name == busy_name)
-        for node in nodes:
-            def cdelta(metric: str) -> float:
-                key = (node, metric)
-                return marks1.counters.get(key, 0.0) - marks0.counters.get(key, 0.0)
-
-            busy = cdelta(busy_name)
-            done = cdelta(spec["done"])
+        busy_by_node = window.deltas(spec["busy"])
+        done_by_node = window.deltas(spec["done"])
+        wait_by_node = window.deltas(spec["wait"]) if spec["wait"] else {}
+        queue_by_node = window.means(spec["queue"]) if spec["queue"] else {}
+        for node in sorted(busy_by_node):
+            busy = busy_by_node[node]
+            done = done_by_node.get(node, 0.0)
             if busy <= 0.0 and spec.get("requires_busy"):
                 # Non-sequencer members deliver records but run no
                 # pipeline; their backlog gauge measures replica lag.
@@ -157,16 +143,12 @@ def window_stats(
             rho = busy / dt
             lam = done * 1000.0 / dt
             service = busy / done if done > 0 else 0.0
-            queue_mean = None
+            queue_mean = queue_by_node.get(node)
             residence = None
             residual = None
             if spec["queue"] is not None:
-                key = (node, spec["queue"])
-                if key in marks1.areas:
-                    queue_mean = (
-                        marks1.areas[key] - marks0.areas.get(key, 0.0)) / dt
                 if done > 0:
-                    wait = cdelta(spec["wait"])
+                    wait = wait_by_node.get(node, 0.0)
                     residence = (
                         wait if spec["wait_is_sojourn"] else wait + busy) / done
                 if queue_mean is not None and residence is not None:
@@ -222,9 +204,9 @@ def run_point(
 ) -> dict:
     """One closed-loop run: throughput + ranked resource stats.
 
-    Runs :func:`repro.bench.harness.drive_closed_loop` and, across its
-    measure window, captures registry marks at the edges and runs the
-    saturation sampler.
+    Runs :func:`repro.bench.harness.drive_closed_loop` with the
+    saturation sampler across its measure window, and ranks resources
+    over the window between the sampler's first and last marks.
     """
     if scenario not in SCENARIOS:
         raise ValueError(
@@ -233,21 +215,17 @@ def run_point(
     if batch_max is not None:
         deploy_kwargs = {**deploy_kwargs, "batch_max": batch_max}
     deployment = build_deployment(impl, seed=seed, **deploy_kwargs)
-    sim = deployment.sim
-    sampler = SaturationSampler(sim, interval_ms=sample_interval_ms)
-    marks: list[RegistryMarks] = []
+    sampler = SaturationSampler(deployment.sim, interval_ms=sample_interval_ms)
 
     @contextmanager
     def window():
         sampler.start()
-        marks.append(RegistryMarks.capture(sim.obs.registry, sim.now))
         yield
-        marks.append(RegistryMarks.capture(sim.obs.registry, sim.now))
         sampler.stop()
 
     throughput, _ = drive_closed_loop(
         deployment, op_kind, writers, warmup_ms, measure_ms, window())
-    marks0, marks1 = marks
+    marks0, marks1 = sampler.first_marks, sampler.marks
     resources = window_stats(marks0, marks1)
     top = resources[0] if resources else None
     return {

@@ -1,8 +1,10 @@
 """The in-sim health watchdog: registry sampling + hysteresis alerts.
 
-A :class:`HealthMonitor` is a simulated process that wakes on a fixed
-cadence, reads the metrics registry (and *only* the registry — it has
-no privileged view into server internals), derives a small set of
+A :class:`HealthMonitor` is the registry sampler
+(:class:`repro.obs.saturation.RegistrySampler`) with its own signal
+table: it wakes on a fixed cadence, reads the metrics registry (and
+*only* the registry — it has no privileged view into server
+internals) over the window since its last tick, derives a small set of
 health signals per node, and runs each through a two-threshold
 hysteresis state machine:
 
@@ -42,7 +44,8 @@ Signals (see docs/OBSERVABILITY.md, "Health monitoring"):
 Gauges are sampled by *area differencing*: the window mean over
 ``[a, b]`` is ``(area(b) - area(a)) / (b - a)``, which no instant
 sample can fake — a queue that spikes and drains between ticks still
-shows up. Everything is deterministic: same seed, same alerts.
+shows up. An instrument created after the previous tick counts from
+zero. Everything is deterministic: same seed, same alerts.
 
 The chaos runner (:mod:`repro.chaos.runner`) starts a monitor on every
 scenario; nemesis runs must raise at least one alert inside the fault
@@ -54,6 +57,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+
+from repro.obs.saturation import RegistrySampler
 
 #: Default sampling cadence: four ticks per heartbeat-failure window,
 #: fine enough to land inside every chaos fault window.
@@ -197,130 +202,41 @@ class Alert:
         }
 
 
-class HealthMonitor:
+class HealthMonitor(RegistrySampler):
     """Sample the registry on a cadence; raise/clear hysteresis alerts."""
+
+    SERIES = (
+        ("mean", "group.backlog", "group.backlog"),
+        ("mean", "disk.queue_depth", "disk.queue_depth"),
+        ("rate", "group.retrans_rate", "group.retrans_requested"),
+        ("rate", "session.dup_rate", "session.cache_hits"),
+        ("rate", "group.view_churn", "group.views_adopted"),
+        ("rate", "storage.corrupt_rate", *CORRUPTION_METRICS),
+        ("ratio", "group.seq_utilization", "group.seq_busy_ms"),
+        ("since", "group.heartbeat_staleness", "group.last_heartbeat_ms"),
+    )
+    PROCESS_NAME = "health-monitor"
 
     def __init__(
         self,
         sim,
-        registry=None,
         interval_ms: float = DEFAULT_INTERVAL_MS,
         thresholds=DEFAULT_THRESHOLDS,
     ):
-        self.sim = sim
-        self.registry = registry if registry is not None else sim.obs.registry
-        self.interval_ms = interval_ms
+        super().__init__(sim, interval_ms)
         self.thresholds = {t.signal: t for t in thresholds}
         self.alerts: list[Alert] = []
         self.clears: list[Alert] = []
-        self.ticks = 0
         self._active: dict = {}  # (node, signal) -> Alert
-        self._gauge_marks: dict = {}  # (node, metric) -> last area
-        self._counter_marks: dict = {}  # (node, metric) -> last value
-        self._last_tick: float | None = None
-        self._process = None
         self._listeners: list = []
         self._retired: set = set()  # nodes evicted from the cluster
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "HealthMonitor":
-        """Baseline every instrument now, then sample forever."""
-        self._baseline()
-        self._process = self.sim.spawn(self._run(), "health-monitor")
-        return self
-
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.kill("health monitor stopped")
-            self._process = None
-
-    def _run(self):
-        while True:
-            yield self.sim.sleep(self.interval_ms)
-            self.tick()
-
-    def _baseline(self) -> None:
-        """Mark current areas/counts so the first window starts clean."""
-        self._last_tick = self.sim.now
-        for metric in ("group.backlog", "disk.queue_depth"):
-            for node, gauge in self.registry.find_gauges(metric):
-                self._gauge_marks[(node, metric)] = gauge.area()
-        for metric in (
-            "group.retrans_requested",
-            "session.cache_hits",
-            "group.views_adopted",
-            "group.seq_busy_ms",
-            *CORRUPTION_METRICS,
-        ):
-            for node, counter in self.registry.find_counters(metric):
-                self._counter_marks[(node, metric)] = counter.value
-
-    # -- sampling ----------------------------------------------------------
 
     def tick(self) -> dict:
         """Take one sample window; returns ``{(node, signal): value}``."""
         now = self.sim.now
-        dt = now - (self._last_tick if self._last_tick is not None else now)
-        self._last_tick = now
-        self.ticks += 1
-        samples = self.sample(dt)
+        samples = self.read()
         for (node, signal), value in sorted(samples.items()):
             self._update(now, node, signal, value)
-        return samples
-
-    def sample(self, dt_ms: float) -> dict:
-        """Compute every (node, signal) value for a window of *dt_ms*."""
-        samples: dict = {}
-        for metric, signal in (
-            ("group.backlog", "group.backlog"),
-            ("disk.queue_depth", "disk.queue_depth"),
-        ):
-            for node, gauge in self.registry.find_gauges(metric):
-                area = gauge.area()
-                prev = self._gauge_marks.get((node, metric), area)
-                self._gauge_marks[(node, metric)] = area
-                samples[(node, signal)] = (
-                    (area - prev) / dt_ms if dt_ms > 0.0 else gauge.value
-                )
-        for metric, signal in (
-            ("group.retrans_requested", "group.retrans_rate"),
-            ("session.cache_hits", "session.dup_rate"),
-            ("group.views_adopted", "group.view_churn"),
-        ):
-            for node, counter in self.registry.find_counters(metric):
-                prev = self._counter_marks.get((node, metric), counter.value)
-                self._counter_marks[(node, metric)] = counter.value
-                samples[(node, signal)] = (
-                    (counter.value - prev) * 1000.0 / dt_ms
-                    if dt_ms > 0.0
-                    else 0.0
-                )
-        # Utilization is a busy-ms delta over a ms window: the plain
-        # ratio, not a *1000 rate like the counters above.
-        for node, counter in self.registry.find_counters("group.seq_busy_ms"):
-            prev = self._counter_marks.get((node, "group.seq_busy_ms"),
-                                           counter.value)
-            self._counter_marks[(node, "group.seq_busy_ms")] = counter.value
-            samples[(node, "group.seq_utilization")] = (
-                (counter.value - prev) / dt_ms if dt_ms > 0.0 else 0.0
-            )
-        corrupt: dict = {}
-        for metric in CORRUPTION_METRICS:
-            for node, counter in self.registry.find_counters(metric):
-                prev = self._counter_marks.get((node, metric), counter.value)
-                self._counter_marks[(node, metric)] = counter.value
-                rate = (
-                    (counter.value - prev) * 1000.0 / dt_ms
-                    if dt_ms > 0.0
-                    else 0.0
-                )
-                corrupt[node] = corrupt.get(node, 0.0) + rate
-        for node, rate in corrupt.items():
-            samples[(node, "storage.corrupt_rate")] = rate
-        now = self.sim.now
-        for node, gauge in self.registry.find_gauges("group.last_heartbeat_ms"):
-            samples[(node, "group.heartbeat_staleness")] = now - gauge.value
         return samples
 
     # -- hysteresis --------------------------------------------------------

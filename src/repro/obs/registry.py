@@ -18,6 +18,7 @@ over *simulated* time via the clock callable handed to the registry.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 Clock = Callable[[], float]
@@ -82,8 +83,8 @@ class Gauge:
         must include the current level held from the last set until the
         snapshot instant (a gauge set at t=10 and read at t=100 weights
         the final level over [10,100]). Window means over [a,b] are
-        ``(area_at_b - area_at_a) / (b - a)`` — the health monitor
-        differences this per sampling interval.
+        ``(area_at_b - area_at_a) / (b - a)`` — :class:`Window`
+        differences this between two :class:`RegistryMarks`.
         """
         return self._area + self.value * (self._clock() - self._last)
 
@@ -216,8 +217,8 @@ class MetricsRegistry:
     def counter_values(self) -> Dict[Tuple[str, str], float]:
         """Copy of every counter's current value, keyed by (node, name).
 
-        The capacity attributor captures this at window boundaries and
-        differences the two captures (docs/OBSERVABILITY.md §10).
+        Read only by :meth:`RegistryMarks.capture`; windows difference
+        two captures (docs/OBSERVABILITY.md §10).
         """
         return {key: c.value for key, c in self._counters.items()}
 
@@ -271,3 +272,59 @@ class MetricsRegistry:
                 section["histograms"] = histograms
             out[node] = section
         return out
+
+
+@dataclass
+class RegistryMarks:
+    """Every counter's value and every gauge's area at one instant.
+
+    The one capture point for windowed readings: the health monitor,
+    the saturation sampler and the capacity attributor all difference
+    two marks through :class:`Window`.
+    """
+
+    t_ms: float
+    counters: dict
+    areas: dict
+
+    @classmethod
+    def capture(cls, registry: MetricsRegistry, now: float) -> "RegistryMarks":
+        return cls(t_ms=now, counters=registry.counter_values(),
+                   areas=registry.gauge_areas())
+
+
+@dataclass(frozen=True)
+class Window:
+    """What the registry recorded between two marks, per node.
+
+    An instrument missing from the start marks was born inside the
+    window and counts from zero: its whole value (or area) is the
+    window's.
+    """
+
+    start: RegistryMarks
+    end: RegistryMarks
+
+    @property
+    def dt_ms(self) -> float:
+        return self.end.t_ms - self.start.t_ms
+
+    def deltas(self, metric: str) -> Dict[str, float]:
+        """Per-node increase of counter *metric* over the window."""
+        start = self.start.counters
+        return {
+            node: value - start.get((node, name), 0.0)
+            for (node, name), value in self.end.counters.items()
+            if name == metric
+        }
+
+    def means(self, metric: str) -> Dict[str, float]:
+        """Per-node time-weighted mean of gauge *metric* over the window
+        (needs ``dt_ms > 0``)."""
+        start = self.start.areas
+        dt = self.dt_ms
+        return {
+            node: (area - start.get((node, name), 0.0)) / dt
+            for (node, name), area in self.end.areas.items()
+            if name == metric
+        }

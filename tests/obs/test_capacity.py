@@ -1,11 +1,18 @@
 """Unit + smoke tests for the queueing-theoretic capacity attributor."""
 
 import json
+from contextlib import contextmanager
 
 import pytest
 
-from repro.bench.harness import GROUP_COMMIT, lookup_throughput, update_throughput
-from repro.obs import MetricsRegistry
+from repro.bench.harness import (
+    GROUP_COMMIT,
+    build_deployment,
+    drive_closed_loop,
+    lookup_throughput,
+    update_throughput,
+)
+from repro.obs import HealthMonitor, MetricsRegistry
 from repro.obs.capacity import (
     SCENARIOS,
     RegistryMarks,
@@ -14,6 +21,7 @@ from repro.obs.capacity import (
     utilization_summary,
     window_stats,
 )
+from repro.obs.saturation import SaturationSampler
 
 #: capacity scenario -> the headline bench's measurement of that service.
 HEADLINE_RUNS = {
@@ -215,3 +223,38 @@ class TestSameExperimentAsHeadline:
         expected = HEADLINE_RUNS[scenario](4, **window)
         assert report["throughput_per_s"] == round(expected, 6)
 
+
+
+class TestOneSourceForSequencerBusyFraction:
+    """The monitor, the saturation sampler and the capacity attributor
+    read the sequencer's busy fraction from the same marks."""
+
+    def test_three_readings_of_one_window_are_one_number(self):
+        deployment = build_deployment("group", seed=0, **GROUP_COMMIT)
+        sim = deployment.sim
+        measure_ms = 2_000.0
+        # Intervals past the window: each tool's only reading is the
+        # one taken as the measure window closes.
+        sampler = SaturationSampler(sim, interval_ms=10 * measure_ms)
+        monitor = HealthMonitor(sim, interval_ms=10 * measure_ms)
+        readings = {}
+
+        @contextmanager
+        def window():
+            sampler.start()
+            monitor.start()
+            yield
+            readings.update(monitor.tick())
+            sampler.stop()
+
+        drive_closed_loop(deployment, "pair", 8, 1_000.0, measure_ms, window())
+        (sample,) = sampler.samples
+        rows = {
+            r.label: r for r in window_stats(sampler.first_marks, sampler.marks)
+        }
+        node = "grp.dir0"
+        busy_fraction = readings[(node, "group.seq_utilization")]
+        assert 0.0 < busy_fraction < 1.0
+        assert sample["series"][f"{node}:group.seq.rho"] == busy_fraction
+        # Capacity publishes rho at six places; the raw value is the same.
+        assert rows[f"seq({node})"].utilization == round(busy_fraction, 6)

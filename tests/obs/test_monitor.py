@@ -115,6 +115,29 @@ class TestCounterSampling:
         assert monitor.active_alerts == []
 
 
+class TestInstrumentsBornInsideTheWindow:
+    """An instrument first created after the monitor started belongs
+    wholly to the window it was born in: it counts from zero."""
+
+    def test_counter_created_after_start_counts_from_zero(self):
+        sim = FakeSim()
+        monitor = make_monitor(sim)
+        sim.registry.counter("s1", "group.retrans_requested").inc(3)
+        samples = advance(sim, monitor)  # 3 in 0.5 s -> 6/s
+        assert samples[("s1", "group.retrans_rate")] == pytest.approx(6.0)
+        assert [a.signal for a in monitor.alerts] == ["group.retrans_rate"]
+
+    def test_gauge_created_after_start_counts_from_zero(self):
+        sim = FakeSim()
+        monitor = make_monitor(sim)
+        sim.now += 250.0
+        sim.registry.gauge("s0", "group.backlog").set(20.0)
+        samples = advance(sim, monitor, 250.0)
+        # Level 20 over the last half of the 500 ms window: mean 10.
+        assert samples[("s0", "group.backlog")] == pytest.approx(10.0)
+        assert [a.signal for a in monitor.alerts] == ["group.backlog"]
+
+
 class TestSeqUtilization:
     def test_utilization_is_the_busy_fraction_of_the_window(self):
         sim = FakeSim()

@@ -57,6 +57,22 @@ class TestSampler:
         second = sampler.samples[1]["series"]
         assert second["n0:group.backlog_age_ms"] == pytest.approx(250.0)
 
+    def test_instruments_born_inside_a_window_count_from_zero(self):
+        sim = Simulator(seed=0)
+        sampler = SaturationSampler(sim, interval_ms=200.0).start()
+
+        def late():
+            yield sim.sleep(100.0)
+            sim.obs.registry.counter("n1", "cpu.busy_ms").inc(50.0)
+            sim.obs.registry.gauge("n1", "cpu.queue_depth").set(4.0)
+
+        sim.spawn(late(), "late")
+        sim.run(until=200.0)
+        series = sampler.samples[0]["series"]
+        assert series["n1:cpu.rho"] == pytest.approx(0.25)
+        # Depth 4 for the last 100 ms of the 200 ms window: mean 2.
+        assert series["n1:cpu.queue_depth"] == pytest.approx(2.0)
+
     def test_ring_evicts_oldest_and_counts_drops(self):
         sim = Simulator(seed=0)
         synthetic_workload(sim)
@@ -78,6 +94,18 @@ class TestSampler:
         assert not sampler.running
         sim.run(until=1_000.0)  # no further samples after stop
         assert len(sampler.samples) == 2
+
+    def test_stop_closes_the_window_at_the_stop_instant(self):
+        # A tick that fires at the very instant the caller stops does
+        # not end the window: work done after it, at the same sim time,
+        # still lands in the last marks (capacity's window end).
+        sim = Simulator(seed=0)
+        sampler = SaturationSampler(sim, interval_ms=200.0).start()
+        sim.run(until=200.0)
+        sim.obs.registry.counter("n0", "cpu.busy_ms").inc(10.0)
+        sampler.stop()
+        assert [s["t_ms"] for s in sampler.samples] == [200.0]
+        assert sampler.marks.counters[("n0", "cpu.busy_ms")] == 10.0
 
     def test_same_seed_runs_sample_identically(self):
         def capture():

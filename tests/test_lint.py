@@ -37,3 +37,26 @@ def test_deprecated_names_do_not_resurface():
         "deprecated names resurfaced (see tests/test_lint.py): "
         + ", ".join(offenders)
     )
+
+
+#: Registry reads that copy every instrument for windowing. Only
+#: ``RegistryMarks.capture`` may call them, so every windowed reading
+#: (health monitor, saturation sampler, capacity attributor) differences
+#: the same marks through ``Window`` instead of keeping its own copy.
+WINDOW_CAPTURE_CALLS = ("counter_values(", "gauge_areas(")
+WINDOW_CAPTURE_HOME = ROOT / "src" / "repro" / "obs" / "registry.py"
+
+
+def test_registry_is_windowed_in_one_place():
+    offenders = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.resolve() == WINDOW_CAPTURE_HOME.resolve():
+            continue
+        text = path.read_text(encoding="utf-8")
+        for call in WINDOW_CAPTURE_CALLS:
+            if call in text:
+                offenders.append(f"{path.relative_to(ROOT)}: {call}")
+    assert not offenders, (
+        "registry capture outside repro/obs/registry.py (use RegistryMarks "
+        "and Window): " + ", ".join(offenders)
+    )
